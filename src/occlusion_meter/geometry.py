@@ -3,8 +3,10 @@
 Coordinates are (x, y) tuples in any consistent unit; areas come back in that
 unit squared. Polygons are normalized to counter-clockwise order on
 construction. There is deliberately no general polygon boolean engine here:
-occluded area is computed exactly by inclusion-exclusion for up to three
-convex occluders and by dense rasterization beyond that.
+the one difference operation, part minus convex occluders, is exact for any
+number of occluders. Each occluder is peeled off a list of disjoint pieces by
+Sutherland-Hodgman half-plane splits (Sutherland & Hodgman, CACM 1974), and
+the visible area is the shoelace sum of what is left.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ _MIN_AREA = 1e-9
 # to serve as a wheel stand-in.
 MIN_CIRCLE_SEGMENTS = 16
 
-# visible_area falls back to rasterization above this many occluders.
-_MAX_EXACT_OCCLUDERS = 3
-
-RASTER_CELLS = 1024
-
 
 def _signed_area2(vertices: Sequence[Point]) -> float:
     # Twice the signed area; positive for counter-clockwise order.
@@ -42,6 +39,12 @@ def _signed_area2(vertices: Sequence[Point]) -> float:
         x1, y1 = vertices[(i + 1) % n]
         acc += x0 * y1 - x1 * y0
     return acc
+
+
+def _bounds(points: Sequence[Point]) -> tuple[float, float, float, float]:
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 class Polygon:
@@ -64,9 +67,7 @@ class Polygon:
         return abs(_signed_area2(self.vertices)) / 2.0
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        return _bounds(self.vertices)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.vertices)} vertices, area={self.area():.6g})"
@@ -172,87 +173,71 @@ def clip(subject: Polygon, window: Polygon) -> list[Polygon]:
     return []
 
 
-def _pieces_area(pieces: list[Polygon]) -> float:
-    return sum(p.area() for p in pieces)
+def _piece_area(points: list[Point]) -> float:
+    return _signed_area2(points) / 2.0
 
 
-def _clip_pieces(pieces: list[Polygon], window: ConvexPolygon) -> list[Polygon]:
-    out: list[Polygon] = []
-    for piece in pieces:
-        out.extend(clip(piece, window))
-    return out
+def _subtract_convex(piece: list[Point], occluder: ConvexPolygon) -> list[list[Point]]:
+    # Peel the part of ``piece`` outside each occluder edge off as a finished
+    # piece and carry the inside on; what survives every edge is covered. A
+    # piece that misses the occluder (bbox first) comes back unsplit, so
+    # untouched areas stay bit-identical.
+    x0, y0, x1, y1 = _bounds(piece)
+    ox0, oy0, ox1, oy1 = occluder.bounds()
+    if x0 > ox1 or ox0 > x1 or y0 > oy1 or oy0 > y1:
+        return [piece]
+    vs = occluder.vertices
+    n = len(vs)
+    finished: list[list[Point]] = []
+    inside = piece
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        if a == b:
+            continue
+        # A carried part whose bbox lies on one side of the edge line, by far
+        # more than rounding error, needs no clip: nothing to peel, or a miss.
+        (ax, ay), ex, ey = a, b[0] - a[0], b[1] - a[1]
+        sure = EDGE_EPS * math.hypot(ex, ey) * (1.0 + max(map(abs, (x0, y0, x1, y1, *a, *b))))
+        sides = [ex * (cy - ay) - ey * (cx - ax) for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))]
+        if min(sides) > sure:
+            continue
+        if max(sides) < -sure:
+            return [piece]
+        outside = _clip_half_plane(inside, b, a)
+        inside = _clip_half_plane(inside, a, b)
+        if _piece_area(inside) <= _MIN_AREA:
+            return [piece]
+        if _piece_area(outside) > _MIN_AREA:
+            finished.append(outside)
+        x0, y0, x1, y1 = _bounds(inside)
+    return finished
 
 
-def visible_area(part: Polygon, occluders: Sequence[Polygon], *, raster_cells: int = RASTER_CELLS) -> float:
+def visible_area(part: Polygon, occluders: Sequence[Polygon]) -> float:
     """Area of ``part`` not covered by the union of the occluders.
 
-    Up to three occluders are handled exactly by inclusion-exclusion over
-    chained clips; beyond three the part bbox is rasterized on a grid of
-    ``raster_cells`` x ``raster_cells`` cell centers (at least 1024 each way
-    by default) and visible cells are counted.
+    Exact for any number of convex occluders: each occluder is subtracted in
+    turn from a list of disjoint pieces (starting with the part) by
+    Sutherland-Hodgman half-plane splits, and the shoelace areas of the
+    surviving pieces are summed; pieces below ``_MIN_AREA`` are dropped. A
+    non-convex part may leave zero-area bridge edges, which cancel in the sum.
     """
-    occs = [_as_convex(o) for o in occluders]
-    base = part.area()
-    if not occs:
-        return base
-    if len(occs) <= _MAX_EXACT_OCCLUDERS:
-        singles = [clip(part, occ) for occ in occs]
-        covered = sum(_pieces_area(pieces) for pieces in singles)
-        pairs: dict[tuple[int, int], list[Polygon]] = {}
-        for i in range(len(occs)):
-            for j in range(i + 1, len(occs)):
-                pieces = _clip_pieces(singles[i], occs[j])
-                pairs[(i, j)] = pieces
-                covered -= _pieces_area(pieces)
-        if len(occs) == 3:
-            covered += _pieces_area(_clip_pieces(pairs[(0, 1)], occs[2]))
-        return max(base - covered, 0.0)
-    return _raster_visible_area(part, occs, raster_cells)
-
-
-def points_in_polygon(polygon: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Even-odd containment test, vectorized over point arrays."""
-    inside = np.zeros(np.shape(xs), dtype=bool)
-    vs = polygon.vertices
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        if y0 == y1:
-            continue
-        crosses = (y0 > ys) != (y1 > ys)
-        x_at = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (xs < x_at)
-    return inside
+    pieces = [list(part.vertices)]
+    for occ in occluders:
+        occ = _as_convex(occ)
+        pieces = [kept for piece in pieces for kept in _subtract_convex(piece, occ)]
+    return min(math.fsum(_piece_area(p) for p in pieces), part.area())
 
 
 def points_in_convex(polygon: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Half-plane containment test for a convex polygon, vectorized."""
-    inside = np.ones(np.shape(xs), dtype=bool)
+    """Half-plane containment test for a convex polygon, vectorized; ``xs`` and ``ys`` broadcast."""
+    inside = np.ones(np.broadcast_shapes(np.shape(xs), np.shape(ys)), dtype=bool)
     vs = polygon.vertices
     n = len(vs)
     for i in range(n):
         ax, ay = vs[i]
         bx, by = vs[(i + 1) % n]
-        inside &= (bx - ax) * (ys - ay) - (by - ay) * (xs - ax) >= 0.0
+        # a - b >= 0 exactly when a >= b for finite doubles, so compare.
+        inside &= (bx - ax) * (ys - ay) >= (by - ay) * (xs - ax)
     return inside
 
-
-def _raster_visible_area(part: Polygon, occluders: list[ConvexPolygon], cells: int) -> float:
-    cells = max(int(cells), RASTER_CELLS)
-    x0, y0, x1, y1 = part.bounds()
-    dx = (x1 - x0) / cells
-    dy = (y1 - y0) / cells
-    xs = x0 + (np.arange(cells) + 0.5) * dx
-    ys = y0 + (np.arange(cells) + 0.5) * dy
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    grid_x = grid_x.ravel()
-    grid_y = grid_y.ravel()
-    mask = points_in_polygon(part, grid_x, grid_y)
-    for occ in occluders:
-        remaining = mask.nonzero()[0]
-        if remaining.size == 0:
-            break
-        hit = points_in_convex(occ, grid_x[remaining], grid_y[remaining])
-        mask[remaining[hit]] = False
-    return float(mask.sum()) * dx * dy

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -82,7 +83,10 @@ def _require(mapping: Mapping, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", path)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ParseError(f"expected a finite number, got {value!r}", path)
+    return number
 
 
 def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | None:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ WHEEL_SEGMENTS = 128
 
 _PLACEMENT_MARGIN = 10.0
 _MAX_SAMPLING_ATTEMPTS = 1000
+_SAMPLING_BATCH = 16
 _COVERAGE_TOLERANCE = 0.02
 
 Rect = tuple[float, float, float, float]
@@ -106,6 +108,11 @@ class RectShape:
 Shape = Circle | Triangle | RectShape
 
 
+def _enclosing(rects: Iterable[Rect]) -> Rect:
+    x0s, y0s, x1s, y1s = zip(*rects)
+    return min(x0s), min(y0s), max(x1s), max(y1s)
+
+
 @dataclass(frozen=True)
 class PartInstance:
     """One bicycle part placed in a scene: a slot name, its class, its shapes."""
@@ -118,13 +125,7 @@ class PartInstance:
         return sum(s.polygon().area() for s in self.shapes)
 
     def bounds(self) -> Rect:
-        rects = [s.bounds() for s in self.shapes]
-        return (
-            min(r[0] for r in rects),
-            min(r[1] for r in rects),
-            max(r[2] for r in rects),
-            max(r[3] for r in rects),
-        )
+        return _enclosing(s.bounds() for s in self.shapes)
 
 
 # Default silhouette, in meters with the ground at y = 0 and the rear axle
@@ -266,13 +267,7 @@ class Scene:
         return [rect_polygon(*rect) for rect in self.occluders]
 
     def bicycle_bounds(self) -> Rect:
-        rects = [inst.bounds() for inst in self.part_instances()]
-        return (
-            min(r[0] for r in rects),
-            min(r[1] for r in rects),
-            max(r[2] for r in rects),
-            max(r[3] for r in rects),
-        )
+        return _enclosing(inst.bounds() for inst in self.part_instances())
 
     def to_dict(self) -> dict:
         return {
@@ -304,55 +299,80 @@ class Scene:
 
 
 class _CoverageProbe:
-    """Cheap coverage estimator from fixed sample points inside each part."""
+    """Cheap coverage estimator from fixed sample points inside each part.
+
+    Point sets are int bitsets; per axis, the points below each distinct
+    coordinate are kept, so a rect costs four bisects and a few int ops.
+    """
 
     _GRID = 24
 
     def __init__(self, instances: Sequence[PartInstance]):
-        self.points: list[tuple[np.ndarray, np.ndarray, float]] = []
+        xs, ys = [], []
+        self.parts: list[tuple[int, int, float]] = []  # (bitset, size, area) of parts with points
         self.total_area = 0.0
         for inst in instances:
             x0, y0, x1, y1 = inst.bounds()
-            xs = np.linspace(x0, x1, self._GRID)
-            ys = np.linspace(y0, y1, self._GRID)
-            grid_x, grid_y = np.meshgrid(xs, ys)
-            grid_x = grid_x.ravel()
-            grid_y = grid_y.ravel()
-            mask = np.zeros(grid_x.shape, dtype=bool)
-            for shape in inst.shapes:
-                mask |= shape.contains(grid_x, grid_y)
+            grid = np.meshgrid(np.linspace(x0, x1, self._GRID), np.linspace(y0, y1, self._GRID))
+            grid_x, grid_y = grid[0].ravel(), grid[1].ravel()
+            mask = np.logical_or.reduce([shape.contains(grid_x, grid_y) for shape in inst.shapes])
             area = inst.area()
-            self.points.append((grid_x[mask], grid_y[mask], area))
+            count = int(mask.sum())
+            if count:
+                self.parts.append((((1 << count) - 1) << len(xs), count, area))
+                xs += grid_x[mask].tolist()
+                ys += grid_y[mask].tolist()
             self.total_area += area
+        self.x_values, self.x_below = self._below(xs)
+        self.y_values, self.y_below = self._below(ys)
+
+    @staticmethod
+    def _below(coords: list[float]) -> tuple[list[float], list[int]]:
+        # below[i]: the points under the i-th distinct value, then all points.
+        # Each part's points lie on a small grid, so few values are distinct.
+        values = sorted(set(coords))
+        below = np.array(coords) < np.array(values + [math.inf])[:, np.newaxis]
+        rows = np.packbits(below, axis=1, bitorder="little")
+        return values, [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     def coverage(self, rects: Sequence[Rect]) -> float:
+        xv, xb, yv, yb = self.x_values, self.x_below, self.y_values, self.y_below
+        hit = 0
+        for x0, y0, x1, y1 in rects:
+            in_x = xb[bisect_right(xv, x1)] & ~xb[bisect_left(xv, x0)]
+            hit |= in_x & yb[bisect_right(yv, y1)] & ~yb[bisect_left(yv, y0)]
         covered = 0.0
-        for xs, ys, area in self.points:
-            if xs.size == 0:
-                continue
-            hit = np.zeros(xs.shape, dtype=bool)
-            for x0, y0, x1, y1 in rects:
-                hit |= (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-            covered += area * (float(hit.sum()) / xs.size)
+        for points, count, area in self.parts:
+            covered += area * (float((hit & points).bit_count()) / count)
         return covered / self.total_area
 
 
-def _sample_rect(rng: random.Random, bike: Rect, coverage_target: float, count: int) -> Rect:
+def _sample_rects(rng: random.Random, bike: Rect, coverage_target: float, count: int, n: int) -> list[Rect]:
     # Occluders model roadside obstacles (vehicles, walls, poles): blocks
     # standing on the ground that hide the bicycle from one side, at least
     # as tall as the bicycle. Free-floating rectangles would instead mostly
     # exercise the estimator's known blind spot (occlusion that leaves the
     # bbox extents unchanged), which is not what road occlusion looks like.
+    # Each rect draws width, centre, top, as uniform(a, b) = a + (b - a) * random().
     bx0, by0, bx1, by1 = bike
-    bw = bx1 - bx0
-    bh = by1 - by0
-    w = bw * (0.10 + 0.95 * coverage_target) * rng.uniform(0.5, 1.4) / math.sqrt(max(count, 1))
-    cx = rng.uniform(bx0 - 0.15 * bw, bx1 + 0.15 * bw)
-    top = by1 - bh * rng.uniform(0.9, 1.35)
-    x0 = min(max(cx - w / 2.0, 0.0), CANVAS_SIZE - 1.0)
-    x1 = min(max(cx + w / 2.0, x0 + 1.0), float(CANVAS_SIZE))
-    y0 = min(max(top, 0.0), CANVAS_SIZE - 1.0)
-    return (x0, y0, x1, float(CANVAS_SIZE))
+    bw, bh = bx1 - bx0, by1 - by0
+    draws = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3)
+    lo, hi = bx0 - 0.15 * bw, bx1 + 0.15 * bw
+    w = bw * (0.10 + 0.95 * coverage_target) * (0.5 + (1.4 - 0.5) * draws[:, 0]) / math.sqrt(max(count, 1))
+    cx = lo + (hi - lo) * draws[:, 1]
+    top = by1 - bh * (0.9 + (1.35 - 0.9) * draws[:, 2])
+    x0 = np.clip(cx - w / 2.0, 0.0, CANVAS_SIZE - 1.0)
+    x1 = np.clip(cx + w / 2.0, x0 + 1.0, float(CANVAS_SIZE))
+    y0 = np.clip(top, 0.0, CANVAS_SIZE - 1.0)
+    return [(a, b, c, float(CANVAS_SIZE)) for a, b, c in zip(x0.tolist(), y0.tolist(), x1.tolist())]
+
+
+def _occluder_sets(rng: random.Random, bike: Rect, coverage_target: float, count: int) -> Iterator[list[Rect]]:
+    # Drawn a batch of sets at a time; draws past the last set used change no scene.
+    for first in range(0, _MAX_SAMPLING_ATTEMPTS, _SAMPLING_BATCH):
+        sets = min(_SAMPLING_BATCH, _MAX_SAMPLING_ATTEMPTS - first)
+        rects = _sample_rects(rng, bike, coverage_target, count, sets * count)
+        yield from (rects[i:i + count] for i in range(0, len(rects), count))
 
 
 def generate_scene(
@@ -391,8 +411,7 @@ def generate_scene(
     bike = base.bicycle_bounds()
     best_rects: list[Rect] | None = None
     best_gap = math.inf
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        rects = [_sample_rect(rng, bike, coverage_target, occluder_count) for _ in range(occluder_count)]
+    for rects in _occluder_sets(rng, bike, coverage_target, occluder_count):
         gap = abs(probe.coverage(rects) - coverage_target)
         if gap < best_gap:
             best_gap = gap
@@ -410,14 +429,6 @@ class GroundTruth:
     fractions: Mapping[str, float]
     visibility_pct: float
     occlusion_pct: float
-
-
-def _slot_share(slot: str, model: SurfaceAreaModel) -> float:
-    if slot in ("rear_wheel", "front_wheel"):
-        return model.wheel_share_pct
-    if slot == "frame":
-        return model.frame_share_pct
-    return model.handlebar_share_pct
 
 
 def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> GroundTruth:
@@ -439,29 +450,28 @@ def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> Gr
             visible += visible_area(poly, occluders)
         fraction = min(max(visible / area, 0.0), 1.0)
         fractions[inst.slot] = fraction
-        visibility += _slot_share(inst.slot, model) * fraction
+        visibility += model.share_pct(inst.part) * fraction
     visibility = min(max(visibility, 0.0), 100.0)
     return GroundTruth(fractions=fractions, visibility_pct=visibility, occlusion_pct=100.0 - visibility)
 
 
 def _visible_bbox(inst: PartInstance, occluders: Sequence[Rect], cells: int = 256) -> BoundingBox | None:
+    # A cells x cells raster of cell centres over the part bbox. Shapes test
+    # a row against a column of centres; an occluder rect covers a block.
     x0, y0, x1, y1 = inst.bounds()
     dx = (x1 - x0) / cells
     dy = (y1 - y0) / cells
     xs = x0 + (np.arange(cells) + 0.5) * dx
     ys = y0 + (np.arange(cells) + 0.5) * dy
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    grid_x = grid_x.ravel()
-    grid_y = grid_y.ravel()
-    mask = np.zeros(grid_x.shape, dtype=bool)
-    for shape in inst.shapes:
-        mask |= shape.contains(grid_x, grid_y)
+    mask = np.logical_or.reduce([shape.contains(xs[np.newaxis, :], ys[:, np.newaxis]) for shape in inst.shapes])
     for rx0, ry0, rx1, ry1 in occluders:
-        mask &= ~((grid_x >= rx0) & (grid_x <= rx1) & (grid_y >= ry0) & (grid_y <= ry1))
-    if not mask.any():
+        rows = slice(np.searchsorted(ys, ry0), np.searchsorted(ys, ry1, side="right"))
+        cols = slice(np.searchsorted(xs, rx0), np.searchsorted(xs, rx1, side="right"))
+        mask[rows, cols] = False
+    vis_x = xs[mask.any(axis=0)]
+    if not vis_x.size:
         return None
-    vis_x = grid_x[mask]
-    vis_y = grid_y[mask]
+    vis_y = ys[mask.any(axis=1)]
     # Cell centers under-reach the true extent by up to half a cell.
     bbox = BoundingBox(
         float(vis_x.min()) - dx / 2.0,

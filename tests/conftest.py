@@ -7,6 +7,7 @@ checked against.
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -132,6 +133,30 @@ def mc_visible_area(part_vertices, occluder_vertex_lists, samples: int, seed: in
     for occ in occluder_vertex_lists:
         visible &= ~mc_points_in_polygon(occ, xs, ys)
     return (x1 - x0) * (y1 - y0) * float(visible.sum()) / samples
+
+
+def compressed_visible_area(part_rects, occluder_rects) -> float:
+    """Exact area of a union of axis-aligned rectangles minus other rectangles.
+
+    Coordinate compression: every rectangle edge cuts the plane into a grid
+    of cells that each lie wholly inside or wholly outside every rectangle,
+    so testing one cell centre decides the whole cell. ``part_rects`` must
+    have disjoint interiors. Rectangles are (x_min, y_min, x_max, y_max).
+    """
+    rects = list(part_rects) + list(occluder_rects)
+    xs = sorted({r[0] for r in rects} | {r[2] for r in rects})
+    ys = sorted({r[1] for r in rects} | {r[3] for r in rects})
+
+    def hit(rect_list, x, y):
+        return any(r[0] < x < r[2] and r[1] < y < r[3] for r in rect_list)
+
+    cells = []
+    for xa, xb in zip(xs, xs[1:]):
+        for ya, yb in zip(ys, ys[1:]):
+            cx, cy = (xa + xb) / 2.0, (ya + yb) / 2.0
+            if hit(part_rects, cx, cy) and not hit(occluder_rects, cx, cy):
+                cells.append((xb - xa) * (yb - ya))
+    return math.fsum(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,27 @@ class TestClassify:
         assert str(bad) in err
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            ('{"image": {"id": "f", "width": Infinity, "height": 640}, "predictions": []}', "image.width"),
+            (
+                '{"image": {"id": "f", "width": 640, "height": 640}, "predictions": [{"class": "wheel", '
+                '"confidence": 0.9, "x": NaN, "y": 320, "width": 100, "height": 100}]}',
+                "predictions[0].x",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("permissive", [(), ("--permissive",)])
+    def test_non_finite_number_exits_2_and_names_path(self, tmp_path, capsys, document, path, permissive):
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(document, encoding="utf-8")
+        code, out, err = run_main(capsys, "classify", str(bad), *permissive)
+        assert code == EXIT_INPUT
+        assert f"{path}: expected a finite number" in err
+        assert "internal error" not in err
+        assert out == ""
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(capsys, "classify", "/nonexistent/input.json")
         assert code == EXIT_INPUT
@@ -148,6 +169,20 @@ class TestSynth:
         code, out, _ = run_main(capsys, "synth", "--scenes", "2", "--seed", "1", "--coverage", "0.3")
         assert code == EXIT_OK
         assert "coverage=0.3" in out
+
+
+    def test_crowded_scenes(self, capsys):
+        code, out, _ = run_main(capsys, "synth", "--scenes", "20", "--seed", "7", "--occluders", "6")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "scenes=20 seed=7 occluders=6 coverage=random"
+        for line, key in zip(lines[1:4], ("mean_abs_error", "max_abs_error", "band_agreement_rate")):
+            assert line.startswith(f"{key}=")
+            float(line.split("=", 1)[1])
+        assert lines[4].startswith("exact \\ estimated")
+        rows = [line.split() for line in lines[5:]]
+        assert [row[0] for row in rows] == ["low_or_none", "partial", "heavy", "severe"]
+        assert sum(int(v) for row in rows for v in row[1:]) == 20
 
 
 class TestCalibrate:

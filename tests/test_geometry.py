@@ -7,20 +7,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlusion_meter.geometry import (
+    _MIN_AREA,
     ConvexPolygon,
     Polygon,
     circle_polygon,
     clip,
     points_in_convex,
-    points_in_polygon,
     polygon_area,
     rect_polygon,
     visible_area,
+    _clip_half_plane,
+    _signed_area2,
 )
 
-from conftest import mc_intersection_area, mc_visible_area, random_convex_vertices
+from conftest import (
+    compressed_visible_area,
+    mc_intersection_area,
+    mc_points_in_polygon,
+    mc_visible_area,
+    random_convex_vertices,
+)
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+# Half-integer coordinates keep every cell of the compression oracle well
+# above the kernel's minimum piece area.
+_coord = st.integers(min_value=0, max_value=40).map(lambda v: v / 2.0)
+
+
+def _sorted_distinct(count):
+    return st.lists(_coord, min_size=count, max_size=count, unique=True).map(sorted)
+
+
+_rects = st.tuples(_sorted_distinct(2), _sorted_distinct(2)).map(lambda t: (t[0][0], t[1][0], t[0][1], t[1][1]))
+
+
+def _rect_part(rect):
+    x0, y0, x1, y1 = rect
+    return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]), [rect]
+
+
+def _l_part(xy):
+    # L = [x0, x2] x [y0, y1] joined with [x0, x1] x [y1, y2]; not convex.
+    (x0, x1, x2), (y0, y1, y2) = xy
+    vertices = [(x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2)]
+    return Polygon(vertices), [(x0, y0, x2, y1), (x0, y1, x1, y2)]
+
+
+_rectilinear_parts = st.one_of(
+    _rects.map(_rect_part),
+    st.tuples(_sorted_distinct(3), _sorted_distinct(3)).map(_l_part),
+)
 
 
 class TestPolygon:
@@ -188,7 +225,13 @@ class TestVisibleArea:
         estimate = mc_visible_area(part.vertices, [o.vertices for o in occluders], 400_000, seed=3)
         assert exact == pytest.approx(estimate, rel=0.02)
 
-    def test_five_occluders_raster_matches_monte_carlo(self):
+    def test_repeated_occluder_vertex_changes_nothing(self):
+        part = Polygon(UNIT_SQUARE)
+        plain = ConvexPolygon([(0.25, -1), (2, -1), (2, 2), (0.25, 2)])
+        repeated = ConvexPolygon([(0.25, -1), (2, -1), (2, -1), (2, 2), (0.25, 2)])
+        assert visible_area(part, [repeated]) == visible_area(part, [plain]) == pytest.approx(0.25, abs=1e-12)
+
+    def test_five_occluders_match_monte_carlo(self):
         rng = random.Random(9)
         part = ConvexPolygon(random_convex_vertices(rng, spread=4.0))
         occluders = [
@@ -199,9 +242,9 @@ class TestVisibleArea:
             )
             for _ in range(5)
         ]
-        raster = visible_area(part, occluders)
+        exact = visible_area(part, occluders)
         estimate = mc_visible_area(part.vertices, [o.vertices for o in occluders], 1_000_000, seed=17)
-        assert raster == pytest.approx(estimate, rel=0.01)
+        assert exact == pytest.approx(estimate, rel=0.01)
 
     def test_monotone_as_occluders_added_exact_path(self):
         part = Polygon(UNIT_SQUARE)
@@ -216,20 +259,89 @@ class TestVisibleArea:
             assert current <= previous + 1e-12
             previous = current
 
-    def test_monotone_on_raster_path(self):
+    def test_monotone_beyond_three_occluders(self):
         rng = random.Random(31)
         part = ConvexPolygon(random_convex_vertices(rng, spread=4.0))
         occluders = [
             ConvexPolygon(
                 random_convex_vertices(rng, center=(rng.uniform(-2, 2), rng.uniform(-2, 2)), spread=1.2)
             )
-            for _ in range(6)
+            for _ in range(8)
         ]
-        four = visible_area(part, occluders[:4])
-        five = visible_area(part, occluders[:5])
-        six = visible_area(part, occluders[:6])
-        assert five <= four + 1e-12
-        assert six <= five + 1e-12
+        previous = visible_area(part, occluders[:3])
+        for k in range(4, 9):
+            current = visible_area(part, occluders[:k])
+            assert current <= previous + 1e-12
+            previous = current
+
+    @given(_rectilinear_parts, st.lists(_rects, min_size=0, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rectilinear_scenes_match_coordinate_compression(self, part_and_rects, occluder_rects):
+        part, part_rects = part_and_rects
+        occluders = [rect_polygon(*r) for r in occluder_rects]
+        expected = compressed_visible_area(part_rects, occluder_rects)
+        assert visible_area(part, occluders) == pytest.approx(expected, rel=1e-9)
+        previous = part.area()
+        for k in range(len(occluders) + 1):
+            current = visible_area(part, occluders[:k])
+            assert current <= previous + 1e-9 * part.area()
+            previous = current
+
+    def test_matches_kernel_that_runs_every_clip(self):
+        # visible_area skips the clips of an edge when a bbox test decides
+        # them; the results must equal those of running every clip.
+        rng = random.Random(41)
+        for case in range(150):
+            parts = [circle_polygon((rng.uniform(100, 500), rng.uniform(100, 500)), rng.uniform(20, 120), 128),
+                     ConvexPolygon(random_convex_vertices(rng, center=(300.0, 300.0), spread=150.0))]
+            for part in parts:
+                xs = sorted(x for x, _ in part.vertices)
+                ys = sorted(y for _, y in part.vertices)
+                occluders = []
+                for _ in range(rng.randint(1, 8)):
+                    kind = rng.randrange(3)
+                    if kind == 2:
+                        center = (rng.uniform(100, 500), rng.uniform(100, 500))
+                        occluders.append(ConvexPolygon(random_convex_vertices(rng, center=center, spread=120.0)))
+                        continue
+                    if kind == 1:
+                        # Edges through part vertices put vertices on the edge lines.
+                        x0, x1 = sorted(rng.sample(xs, 2))
+                        y0, y1 = sorted(rng.sample(ys, 2))
+                    else:
+                        x0, y0 = rng.uniform(0, 600), rng.uniform(0, 600)
+                        x1, y1 = x0 + rng.uniform(1, 300), y0 + rng.uniform(1, 300)
+                    if (x1 - x0) * (y1 - y0) > 1e-6:
+                        occluders.append(rect_polygon(x0, y0, x1, y1))
+                assert visible_area(part, occluders) == _visible_area_every_clip(part, occluders)
+
+
+def _visible_area_every_clip(part, occluders):
+    pieces = [list(part.vertices)]
+    for occ in occluders:
+        ox0, oy0, ox1, oy1 = occ.bounds()
+        vs = occ.vertices
+        kept = []
+        for piece in pieces:
+            xs, ys = [p[0] for p in piece], [p[1] for p in piece]
+            if min(xs) > ox1 or ox0 > max(xs) or min(ys) > oy1 or oy0 > max(ys):
+                kept.append(piece)
+                continue
+            finished, inside = [], piece
+            for i in range(len(vs)):
+                a, b = vs[i], vs[(i + 1) % len(vs)]
+                if a == b:
+                    continue
+                outside = _clip_half_plane(inside, b, a)
+                inside = _clip_half_plane(inside, a, b)
+                if _signed_area2(inside) / 2.0 <= _MIN_AREA:
+                    finished = [piece]
+                    break
+                if _signed_area2(outside) / 2.0 > _MIN_AREA:
+                    finished.append(outside)
+            kept.extend(finished)
+        pieces = kept
+    return min(math.fsum(_signed_area2(p) / 2.0 for p in pieces), part.area())
 
 
 class TestCirclePolygon:
@@ -261,7 +373,7 @@ class TestContainmentHelpers:
         npr = np.random.default_rng(0)
         xs = npr.uniform(-3, 3, 20_000)
         ys = npr.uniform(-3, 3, 20_000)
-        general = points_in_polygon(poly, xs, ys)
+        general = mc_points_in_polygon(poly.vertices, xs, ys)
         convex = points_in_convex(poly, xs, ys)
         # Boundary points may differ by the half-plane closure; interiors agree.
         assert (general != convex).sum() <= 5

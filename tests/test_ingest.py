@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import pytest
 
@@ -117,6 +118,24 @@ class TestParseDetections:
         pred = dict(WHEEL, points=[{"x": 0, "y": 0}, {"x": 50, "y": 0}, {"x": 50, "y": 50}])
         with pytest.raises(ParseError, match="polygon extent disagrees"):
             parse_detections(doc([pred]))
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", math.nan), ("width", math.inf), ("confidence", math.nan), ("y", -math.inf)],
+    )
+    def test_non_finite_prediction_number_rejected(self, field, value, permissive):
+        pred = dict(WHEEL, **{field: value})
+        with pytest.raises(ParseError, match="expected a finite number") as info:
+            parse_detections(doc([WHEEL, pred]), permissive=permissive)
+        assert info.value.path == f"predictions[1].{field}"
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_image_width_rejected(self, value, permissive):
+        with pytest.raises(ParseError, match="expected a finite number") as info:
+            parse_detections(doc([WHEEL], width=value), permissive=permissive)
+        assert info.value.path == "image.width"
 
     def test_fixture_documents_classify_to_expected_values(self, scenario_frames):
         for frame in scenario_frames:

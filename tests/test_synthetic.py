@@ -1,11 +1,14 @@
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import mc_visible_area
-from occlusion_meter.model import ClassifierConfig, OcclusionBand, PartClass
+from occlusion_meter.model import BoundingBox, ClassifierConfig, OcclusionBand, PartClass
 from occlusion_meter.synthetic import (
+    CANVAS_SIZE,
     BicycleTemplate,
     Scene,
     estimator_error,
@@ -13,7 +16,9 @@ from occlusion_meter.synthetic import (
     ground_truth,
     run_batch,
     simulate_detections,
-    _sample_rect,
+    _CoverageProbe,
+    _sample_rects,
+    _visible_bbox,
 )
 
 # Template whose rear-wheel bounding box intersects no other part: the frame
@@ -138,22 +143,30 @@ class TestGroundTruth:
             )
             assert truth.fractions[inst.slot] == pytest.approx(visible / area, abs=0.02)
 
-    def test_many_occluders_uses_raster_and_stays_sane(self):
+    def test_many_occluders_match_monte_carlo(self):
         rng = random.Random(4)
         scene = generate_scene(13, 0, 0.0)
         bike = scene.bicycle_bounds()
-        rects = tuple(_sample_rect(rng, bike, 0.3, 5) for _ in range(5))
-        truth = ground_truth(replace(scene, occluders=rects))
+        rects = tuple(_sample_rects(rng, bike, 0.3, 5, 5))
+        crowded = replace(scene, occluders=rects)
+        occluders = [poly.vertices for poly in crowded.occluder_polygons()]
+        truth = ground_truth(crowded)
         for fraction in truth.fractions.values():
             assert 0.0 <= fraction <= 1.0
         assert 0.0 <= truth.occlusion_pct <= 100.0
+        for index, inst in enumerate(crowded.part_instances()):
+            visible = sum(
+                mc_visible_area(shape.polygon().vertices, occluders, 200_000, seed=index)
+                for shape in inst.shapes
+            )
+            assert truth.fractions[inst.slot] == pytest.approx(visible / inst.area(), abs=0.02)
 
     def test_occlusion_monotone_as_occluders_added(self):
         rng = random.Random(17)
         for case in range(25):
             scene = generate_scene(400 + case, 0, 0.0)
             bike = scene.bicycle_bounds()
-            rects = [_sample_rect(rng, bike, rng.uniform(0.1, 0.5), 1) for _ in range(3)]
+            rects = [_sample_rects(rng, bike, rng.uniform(0.1, 0.5), 1, 1)[0] for _ in range(3)]
             previous = ground_truth(scene).occlusion_pct
             for k in range(1, 4):
                 current = ground_truth(replace(scene, occluders=tuple(rects[:k]))).occlusion_pct
@@ -239,7 +252,7 @@ class TestEstimatorError:
         for i in range(120):
             target = rng.uniform(0.1, 0.7)
             scene = generate_scene(3000 + i, 1, target)
-            extra = _sample_rect(random.Random(9000 + i), scene.bicycle_bounds(), rng.uniform(0.1, 0.6), 1)
+            extra = _sample_rects(random.Random(9000 + i), scene.bicycle_bounds(), rng.uniform(0.1, 0.6), 1, 1)[0]
             bigger = replace(scene, occluders=scene.occluders + (extra,))
             before = estimator_error(scene)
             after = estimator_error(bigger)
@@ -268,3 +281,102 @@ class TestRunBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             run_batch(0, 1)
+
+
+class TestLoopReferences:
+    """The vectorized oracle helpers against the plain loops they replaced, bit for bit."""
+
+    @staticmethod
+    def reference_rect(rng, bike, coverage_target, count):
+        bx0, by0, bx1, by1 = bike
+        bw = bx1 - bx0
+        bh = by1 - by0
+        w = bw * (0.10 + 0.95 * coverage_target) * rng.uniform(0.5, 1.4) / math.sqrt(max(count, 1))
+        cx = rng.uniform(bx0 - 0.15 * bw, bx1 + 0.15 * bw)
+        top = by1 - bh * rng.uniform(0.9, 1.35)
+        x0 = min(max(cx - w / 2.0, 0.0), CANVAS_SIZE - 1.0)
+        x1 = min(max(cx + w / 2.0, x0 + 1.0), float(CANVAS_SIZE))
+        y0 = min(max(top, 0.0), CANVAS_SIZE - 1.0)
+        return (x0, y0, x1, float(CANVAS_SIZE))
+
+    @staticmethod
+    def reference_samples(inst):
+        x0, y0, x1, y1 = inst.bounds()
+        grid_x, grid_y = np.meshgrid(np.linspace(x0, x1, 24), np.linspace(y0, y1, 24))
+        grid_x = grid_x.ravel()
+        grid_y = grid_y.ravel()
+        mask = np.zeros(grid_x.shape, dtype=bool)
+        for shape in inst.shapes:
+            mask |= shape.contains(grid_x, grid_y)
+        return grid_x[mask], grid_y[mask]
+
+    def reference_coverage(self, instances, rects):
+        covered = 0.0
+        for inst in instances:
+            xs, ys = self.reference_samples(inst)
+            if xs.size == 0:
+                continue
+            hit = np.zeros(xs.shape, dtype=bool)
+            for x0, y0, x1, y1 in rects:
+                hit |= (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+            covered += inst.area() * (float(hit.sum()) / xs.size)
+        return covered / sum(inst.area() for inst in instances)
+
+    @staticmethod
+    def reference_visible_bbox(inst, occluders, cells=256):
+        x0, y0, x1, y1 = inst.bounds()
+        dx = (x1 - x0) / cells
+        dy = (y1 - y0) / cells
+        grid_x, grid_y = np.meshgrid(x0 + (np.arange(cells) + 0.5) * dx, y0 + (np.arange(cells) + 0.5) * dy)
+        grid_x = grid_x.ravel()
+        grid_y = grid_y.ravel()
+        mask = np.zeros(grid_x.shape, dtype=bool)
+        for shape in inst.shapes:
+            mask |= shape.contains(grid_x, grid_y)
+        for rx0, ry0, rx1, ry1 in occluders:
+            mask &= ~((grid_x >= rx0) & (grid_x <= rx1) & (grid_y >= ry0) & (grid_y <= ry1))
+        if not mask.any():
+            return None
+        bbox = BoundingBox(
+            float(grid_x[mask].min()) - dx / 2.0,
+            float(grid_y[mask].min()) - dy / 2.0,
+            float(grid_x[mask].max()) + dx / 2.0,
+            float(grid_y[mask].max()) + dy / 2.0,
+        )
+        return bbox.clamped(CANVAS_SIZE, CANVAS_SIZE)
+
+    def test_sample_rects_draws_like_one_rect_at_a_time(self):
+        for seed in range(40):
+            bike = generate_scene(seed, 0, 0.0).bicycle_bounds()
+            target, count = 0.02 * seed, 1 + seed % 8
+            rng = random.Random(seed)
+            expected = [self.reference_rect(rng, bike, target, count) for _ in range(3 * count)]
+            assert _sample_rects(random.Random(seed), bike, target, count, 3 * count) == expected
+
+    def test_probe_coverage_matches_point_loop(self):
+        rng = random.Random(11)
+        for seed in range(30):
+            instances = generate_scene(seed, 0, 0.0).part_instances()
+            probe = _CoverageProbe(instances)
+            # Rect edges on sample coordinates check that points on an edge count.
+            xs = np.concatenate([self.reference_samples(inst)[0] for inst in instances]).tolist()
+            ys = np.concatenate([self.reference_samples(inst)[1] for inst in instances]).tolist()
+            for _ in range(20):
+                rects = []
+                for _ in range(rng.randint(1, 6)):
+                    (x0, x1), (y0, y1) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
+                    rects.append((x0, y0, x1, y1))
+                assert probe.coverage(rects) == self.reference_coverage(instances, rects)
+
+    def test_visible_bbox_matches_meshgrid_raster(self):
+        rng = random.Random(12)
+        for seed in range(30):
+            scene = generate_scene(seed, 1 + seed % 6, rng.uniform(0.0, 0.8))
+            for inst in scene.part_instances():
+                x0, y0, x1, y1 = inst.bounds()
+                dx = (x1 - x0) / 256
+                # Occluders with edges on cell centres check that centres on an edge count.
+                dy = (y1 - y0) / 256
+                cx, cy = x0 + (rng.randrange(256) + 0.5) * dx, y0 + (rng.randrange(256) + 0.5) * dy
+                for occluders in (scene.occluders, ((cx, cy, x1, y1),), ((x0, y0, cx, cy),)):
+                    assert _visible_bbox(inst, occluders) == self.reference_visible_bbox(inst, occluders)
