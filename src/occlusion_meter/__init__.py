@@ -23,7 +23,7 @@ from .evaluation import (
     render_visibility_table,
     summarize,
 )
-from .geometry import ConvexPolygon, Polygon, circle_polygon, clip, polygon_area, rect_polygon, visible_area
+from .geometry import ConvexPolygon, Polygon, circle_polygon, clip, rect_polygon, visible_area
 from .ingest import (
     ParseError,
     load_detections,
@@ -100,7 +100,6 @@ __all__ = [
     "occlusion_band",
     "parse_detections",
     "part_visibility",
-    "polygon_area",
     "rect_polygon",
     "render_visibility_table",
     "reports_from_json",

@@ -17,6 +17,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .model import (
+    PART_LIMITS,
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
@@ -29,9 +30,6 @@ from .model import (
 )
 
 PartGroup = tuple[PartDetection, ...]
-
-# How many detections of each class a single bicycle instance may keep.
-_GROUP_LIMITS = {PartClass.WHEEL: 2, PartClass.FRAME: 1, PartClass.HANDLEBAR: 1}
 
 
 class CalibrationError(OcclusionMeterError):
@@ -66,10 +64,6 @@ def part_visibility(detection: PartDetection, config: ClassifierConfig) -> float
     return share
 
 
-def _bbox_gap(a: PartDetection, b: PartDetection) -> float:
-    return a.bbox.gap_to(b.bbox)
-
-
 def _prune_group(members: list[tuple[int, PartDetection]]) -> PartGroup:
     # Keep the per-class limits, preferring higher confidence, then larger
     # bbox area, then lower detection index; output stays in detection order.
@@ -77,7 +71,7 @@ def _prune_group(members: list[tuple[int, PartDetection]]) -> PartGroup:
     for part in PartClass:
         candidates = [(i, d) for i, d in members if d.part is part]
         candidates.sort(key=lambda item: (-item[1].confidence, -item[1].bbox.area(), item[0]))
-        kept.extend(candidates[: _GROUP_LIMITS[part]])
+        kept.extend(candidates[: PART_LIMITS[part]])
     kept.sort(key=lambda item: item[0])
     return tuple(d for _, d in kept)
 
@@ -111,7 +105,7 @@ def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGro
 
     for i in range(len(detections)):
         for j in range(i + 1, len(detections)):
-            if _bbox_gap(detections[i], detections[j]) <= limit:
+            if detections[i].bbox.gap_to(detections[j].bbox) <= limit:
                 parent[find(i)] = find(j)
 
     clusters: dict[int, list[tuple[int, PartDetection]]] = {}
@@ -267,15 +261,9 @@ def calibrate_thresholds(
     b = [below(f3, t) - below(f2, t) for t in grid]
     c = [below(f4, t) - below(f3, t) for t in grid]
 
-    best_correct = -1
-    for i1 in range(2, n):
-        a1 = a[i1]
-        for i2 in range(1, i1):
-            ab = a1 + b[i2]
-            for i3 in range(i2):
-                score = ab + c[i3]
-                if score > best_correct:
-                    best_correct = score
+    # c_best[i] = max(c[:i + 1]) pairs each t2 with its best t3 < t2.
+    c_best = list(itertools.accumulate(c, max))
+    best_correct = max(a[i1] + b[i2] + c_best[i2 - 1] for i1 in range(2, n) for i2 in range(1, i1))
 
     def margin(t1: float, t2: float, t3: float) -> float:
         return sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)

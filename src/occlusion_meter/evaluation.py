@@ -2,32 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .model import OcclusionBand, VisibilityReport
 
-BAND_ORDER: tuple[OcclusionBand, ...] = (
-    OcclusionBand.LOW_OR_NONE,
-    OcclusionBand.PARTIAL,
-    OcclusionBand.HEAVY,
-    OcclusionBand.SEVERE,
-)
-
-
-def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
-    # Pairwise (cascade) summation keeps the mean stable for long inputs.
-    if hi - lo <= 8:
-        acc = 0.0
-        for i in range(lo, hi):
-            acc += values[i]
-        return acc
-    mid = (lo + hi) // 2
-    return _pairwise_sum(values, lo, mid) + _pairwise_sum(values, mid, hi)
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    return _pairwise_sum(values, 0, len(values))
+BAND_ORDER: tuple[OcclusionBand, ...] = tuple(OcclusionBand)
 
 
 @dataclass(frozen=True)
@@ -40,14 +21,7 @@ class ReportSummary:
     occlusion_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "visibility_min": self.visibility_min,
-            "visibility_max": self.visibility_max,
-            "visibility_mean": self.visibility_mean,
-            "occlusion_min": self.occlusion_min,
-            "occlusion_max": self.occlusion_max,
-        }
+        return asdict(self)
 
 
 def summarize(reports: Sequence[VisibilityReport]) -> ReportSummary:
@@ -63,7 +37,7 @@ def summarize(reports: Sequence[VisibilityReport]) -> ReportSummary:
         count=len(reports),
         visibility_min=min(visibilities),
         visibility_max=max(visibilities),
-        visibility_mean=pairwise_sum(visibilities) / len(visibilities),
+        visibility_mean=math.fsum(visibilities) / len(visibilities),
         occlusion_min=min(occlusions),
         occlusion_max=max(occlusions),
     )

@@ -95,11 +95,6 @@ class ConvexPolygon(Polygon):
                 raise ValueError("polygon is not convex")
 
 
-def polygon_area(polygon: Polygon) -> float:
-    """Absolute enclosed area of a polygon (shoelace formula)."""
-    return polygon.area()
-
-
 def rect_polygon(x_min: float, y_min: float, x_max: float, y_max: float) -> ConvexPolygon:
     """Axis-aligned rectangle as a convex polygon."""
     return ConvexPolygon([(x_min, y_min), (x_max, y_min), (x_max, y_max), (x_min, y_max)])

@@ -41,6 +41,7 @@ from .model import (
     PartDetection,
     UnknownPartLabelError,
     VisibilityReport,
+    validate_detection,
     validate_frame,
 )
 
@@ -164,32 +165,27 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
     if not isinstance(predictions, Sequence) or isinstance(predictions, (str, bytes)):
         raise ParseError("expected an array", "predictions")
 
+    width, height = int(width), int(height)
     detections = []
     for index, pred in enumerate(predictions):
         det = _parse_prediction(pred, index, permissive)
-        if det is not None:
-            detections.append(det)
+        if det is None:
+            continue
+        if permissive:
+            try:
+                det = validate_detection(det, index, width, height)
+            except FrameValidationError as exc:
+                logger.warning("dropping predictions[%d]: %s", index, "; ".join(exc.errors))
+                continue
+        detections.append(det)
 
-    frame = DetectionFrame(
-        image_id=image_id,
-        image_width=int(width),
-        image_height=int(height),
-        detections=tuple(detections),
-    )
+    frame = DetectionFrame(image_id=image_id, image_width=width, image_height=height, detections=tuple(detections))
+    if permissive:
+        return frame
     try:
         return validate_frame(frame)
     except FrameValidationError as exc:
-        if not permissive:
-            raise ParseError("; ".join(exc.errors), "predictions") from None
-        # Drop invalid detections one by one, keeping the rest.
-        kept = []
-        for index, det in enumerate(detections):
-            probe = DetectionFrame(image_id, int(width), int(height), (det,))
-            try:
-                kept.extend(validate_frame(probe).detections)
-            except FrameValidationError as det_exc:
-                logger.warning("dropping predictions[%d]: %s", index, "; ".join(det_exc.errors))
-        return DetectionFrame(image_id, int(width), int(height), tuple(kept))
+        raise ParseError("; ".join(exc.errors), "predictions") from None
 
 
 def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionFrame:

@@ -7,10 +7,11 @@ per-bicycle visibility report, and the classifier configuration.
 
 Detector output arrives from the outside world, so the detection-side types
 (``BoundingBox``, ``PartDetection``, ``DetectionFrame``) are passive records:
-they do not raise on construction. ``validate_frame`` is the single
-enforcement point and reports *every* problem in a frame with the index of
-the offending detection, which is far more useful for batch pipelines than
-failing on the first bad field. Configuration types (``SurfaceAreaModel``,
+they do not raise on construction. ``validate_frame``, which runs
+``validate_detection`` on each detection, is the single enforcement point
+and reports *every* problem in a frame with the index of the offending
+detection, which is far more useful for batch pipelines than failing on
+the first bad field. Configuration types (``SurfaceAreaModel``,
 ``ClassifierConfig``) are built by humans, so they validate eagerly.
 
 All types are immutable after construction and safe to share across workers.
@@ -20,7 +21,7 @@ No raster data is ever stored here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
@@ -190,6 +191,12 @@ class DetectionFrame:
         return iter(self.detections)
 
 
+def _check_fields(cls, data: Mapping, what: str) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class SurfaceAreaModel:
     """Reference physical areas and percentage shares per bicycle part.
@@ -229,22 +236,11 @@ class SurfaceAreaModel:
         return self.handlebar_share_pct
 
     def to_dict(self) -> dict:
-        return {
-            "wheel_area_cm2": self.wheel_area_cm2,
-            "frame_area_cm2": self.frame_area_cm2,
-            "handlebar_area_cm2": self.handlebar_area_cm2,
-            "total_area_cm2": self.total_area_cm2,
-            "wheel_share_pct": self.wheel_share_pct,
-            "frame_share_pct": self.frame_share_pct,
-            "handlebar_share_pct": self.handlebar_share_pct,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SurfaceAreaModel":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown area model fields: {sorted(unknown)}")
+        _check_fields(cls, data, "area model")
         return cls(**{k: float(v) for k, v in data.items()})
 
 
@@ -288,6 +284,8 @@ class ClassifierConfig:
         object.__setattr__(self, "wheel_fractions", pairs)
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError(f"confidence_threshold must be in [0, 1], got {self.confidence_threshold}")
+        if not 0.0 <= self.detectability_floor <= 1.0:
+            raise ValueError(f"detectability_floor must be in [0, 1], got {self.detectability_floor}")
         if not pairs:
             raise ValueError("wheel_fractions must not be empty")
         thresholds = [t for t, _ in pairs]
@@ -308,38 +306,21 @@ class ClassifierConfig:
             raise ValueError("grouping_distance_factor must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "confidence_threshold": self.confidence_threshold,
-            "wheel_fractions": [list(pair) for pair in self.wheel_fractions],
-            "detectability_floor": self.detectability_floor,
-            "grouping_distance_factor": self.grouping_distance_factor,
-            "area_model": self.area_model.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ClassifierConfig":
-        """Build a config from a plain mapping; missing fields keep defaults."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "confidence_threshold" in data:
-            kwargs["confidence_threshold"] = float(data["confidence_threshold"])
-        if "wheel_fractions" in data:
-            kwargs["wheel_fractions"] = tuple(
-                (float(t), float(f)) for t, f in data["wheel_fractions"]
-            )
-        if "detectability_floor" in data:
-            kwargs["detectability_floor"] = float(data["detectability_floor"])
-        if "grouping_distance_factor" in data:
-            kwargs["grouping_distance_factor"] = float(data["grouping_distance_factor"])
-        if "area_model" in data:
-            kwargs["area_model"] = SurfaceAreaModel.from_dict(data["area_model"])
-        return cls(**kwargs)
+        """Build a config from a plain mapping; missing fields keep defaults.
+
+        Scalars go through ``float``; ``__post_init__`` coerces the wheel pairs.
+        """
+        _check_fields(cls, data, "config")
+        convert = {"wheel_fractions": tuple, "area_model": SurfaceAreaModel.from_dict}
+        return cls(**{k: convert.get(k, float)(v) for k, v in data.items()})
 
 
-_MAX_CONTRIBUTIONS = {PartClass.WHEEL: 2, PartClass.FRAME: 1, PartClass.HANDLEBAR: 1}
+# How many detections of each class one bicycle instance may hold.
+PART_LIMITS = {PartClass.WHEEL: 2, PartClass.FRAME: 1, PartClass.HANDLEBAR: 1}
 
 
 @dataclass(frozen=True)
@@ -367,10 +348,10 @@ class VisibilityReport:
         if self.bicycle_index < 0:
             raise ValueError("bicycle_index must be non-negative")
         for part, values in contributions.items():
-            if len(values) > _MAX_CONTRIBUTIONS[part]:
+            if len(values) > PART_LIMITS[part]:
                 raise ValueError(
                     f"too many {part.value} contributions: {len(values)} "
-                    f"(max {_MAX_CONTRIBUTIONS[part]})"
+                    f"(max {PART_LIMITS[part]})"
                 )
         if not 0.0 <= self.visibility_pct <= 100.0:
             raise ValueError(f"visibility_pct out of [0, 100]: {self.visibility_pct}")
@@ -420,76 +401,90 @@ class VisibilityReport:
         )
 
 
+def validate_detection(det: PartDetection, index: int, image_width: float, image_height: float) -> PartDetection:
+    """Check one detection and normalize it to the image bounds.
+
+    Returns the detection with its part resolved to a ``PartClass`` and its
+    bbox (and polygon, when present) clamped into the image rectangle.
+
+    Raises:
+        FrameValidationError: with one message naming ``index``.
+    """
+    part = det.part
+    if not isinstance(part, PartClass):
+        try:
+            part = PartClass.from_label(part)
+        except UnknownPartLabelError as exc:
+            raise FrameValidationError([str(exc)]) from None
+
+    bbox = det.bbox
+    if not all(map(math.isfinite, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max))):
+        raise FrameValidationError([f"non-finite bbox coordinate at index {index}"])
+    bbox = bbox.clamped(image_width, image_height)
+    if bbox.width() <= 0:
+        raise FrameValidationError([f"zero-width bbox at index {index}"])
+    if bbox.height() <= 0:
+        raise FrameValidationError([f"zero-height bbox at index {index}"])
+
+    # NaN fails both comparisons, so a non-finite confidence lands here too.
+    if not 0.0 <= det.confidence <= 1.0:
+        raise FrameValidationError([f"confidence out of range at index {index}: {det.confidence}"])
+
+    polygon = det.polygon
+    if polygon is not None:
+        if len(polygon) < 3:
+            raise FrameValidationError([f"polygon with fewer than 3 vertices at index {index}"])
+        if not all(math.isfinite(c) for vertex in polygon for c in vertex):
+            raise FrameValidationError([f"non-finite polygon vertex at index {index}"])
+        polygon = tuple(
+            (
+                min(max(float(x), 0.0), float(image_width)),
+                min(max(float(y), 0.0), float(image_height)),
+            )
+            for x, y in polygon
+        )
+        px_min = min(p[0] for p in polygon)
+        py_min = min(p[1] for p in polygon)
+        px_max = max(p[0] for p in polygon)
+        py_max = max(p[1] for p in polygon)
+        deviation = max(
+            abs(px_min - bbox.x_min),
+            abs(py_min - bbox.y_min),
+            abs(px_max - bbox.x_max),
+            abs(py_max - bbox.y_max),
+        )
+        if deviation > POLYGON_BBOX_TOLERANCE:
+            raise FrameValidationError(
+                [f"polygon extent disagrees with bbox at index {index} (off by {deviation:.2f} px)"]
+            )
+
+    return replace(det, part=part, bbox=bbox, polygon=polygon)
+
+
 def validate_frame(frame: DetectionFrame) -> DetectionFrame:
     """Validate a detection frame and normalize it to image bounds.
 
-    Returns a new frame with every bbox (and polygon, when present) clamped
-    into the image rectangle. Collects *all* violations before failing so a
+    Returns a new frame with every detection normalized by
+    ``validate_detection``. Collects *all* violations before failing so a
     bad batch reports every problem at once.
 
     Raises:
         FrameValidationError: listing one message per violation, each naming
             the index of the offending detection.
     """
-    errors: list[str] = []
-    if frame.image_width <= 0 or frame.image_height <= 0:
-        raise FrameValidationError(
-            [f"non-positive image dimensions: {frame.image_width}x{frame.image_height}"]
-        )
+    width, height = frame.image_width, frame.image_height
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise FrameValidationError([f"non-finite image dimensions: {width}x{height}"])
+    if width <= 0 or height <= 0:
+        raise FrameValidationError([f"non-positive image dimensions: {width}x{height}"])
 
+    errors: list[str] = []
     normalized: list[PartDetection] = []
     for index, det in enumerate(frame.detections):
-        part = det.part
-        if not isinstance(part, PartClass):
-            try:
-                part = PartClass.from_label(part)
-            except UnknownPartLabelError as exc:
-                errors.append(str(exc))
-                continue
-
-        bbox = det.bbox.clamped(frame.image_width, frame.image_height)
-        if bbox.width() <= 0:
-            errors.append(f"zero-width bbox at index {index}")
-            continue
-        if bbox.height() <= 0:
-            errors.append(f"zero-height bbox at index {index}")
-            continue
-
-        if not 0.0 <= det.confidence <= 1.0:
-            errors.append(f"confidence out of range at index {index}: {det.confidence}")
-            continue
-
-        polygon = det.polygon
-        if polygon is not None:
-            if len(polygon) < 3:
-                errors.append(f"polygon with fewer than 3 vertices at index {index}")
-                continue
-            polygon = tuple(
-                (
-                    min(max(float(x), 0.0), float(frame.image_width)),
-                    min(max(float(y), 0.0), float(frame.image_height)),
-                )
-                for x, y in polygon
-            )
-            px_min = min(p[0] for p in polygon)
-            py_min = min(p[1] for p in polygon)
-            px_max = max(p[0] for p in polygon)
-            py_max = max(p[1] for p in polygon)
-            deviation = max(
-                abs(px_min - bbox.x_min),
-                abs(py_min - bbox.y_min),
-                abs(px_max - bbox.x_max),
-                abs(py_max - bbox.y_max),
-            )
-            if deviation > POLYGON_BBOX_TOLERANCE:
-                errors.append(
-                    f"polygon extent disagrees with bbox at index {index} "
-                    f"(off by {deviation:.2f} px)"
-                )
-                continue
-
-        normalized.append(replace(det, part=part, bbox=bbox, polygon=polygon))
-
+        try:
+            normalized.append(validate_detection(det, index, width, height))
+        except FrameValidationError as exc:
+            errors.extend(exc.errors)
     if errors:
         raise FrameValidationError(errors)
     return replace(frame, detections=tuple(normalized))

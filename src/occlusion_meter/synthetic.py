@@ -23,7 +23,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -204,12 +204,7 @@ class BicycleTemplate:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "wheel_radius": self.wheel_radius,
-            "wheelbase": self.wheelbase,
-            "frame_triangles": [[list(p) for p in tri] for tri in self.frame_triangles],
-            "handlebar_rect": list(self.handlebar_rect),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BicycleTemplate":
@@ -270,14 +265,7 @@ class Scene:
         return _enclosing(inst.bounds() for inst in self.part_instances())
 
     def to_dict(self) -> dict:
-        return {
-            "template": self.template.to_dict(),
-            "scale": self.scale,
-            "origin": list(self.origin),
-            "occluders": [list(r) for r in self.occluders],
-            "seed": self.seed,
-            "canvas": list(self.canvas),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

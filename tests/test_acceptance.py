@@ -29,7 +29,7 @@ from occlusion_meter.classifier import (
     occlusion_band,
     wheel_visibility_fraction,
 )
-from occlusion_meter.geometry import ConvexPolygon, Polygon, circle_polygon, clip, polygon_area, visible_area
+from occlusion_meter.geometry import ConvexPolygon, Polygon, circle_polygon, clip, visible_area
 from occlusion_meter.ingest import load_detections
 from occlusion_meter.model import (
     BoundingBox,
@@ -198,19 +198,19 @@ def test_criterion_5_geometry_oracle_equivalence():
     # Shoelace vs closed forms at 1e-12 relative.
     for size in (0.5, 1.0, 3.7, 120.0):
         square = Polygon([(0, 0), (size, 0), (size, size), (0, size)])
-        assert polygon_area(square) == pytest.approx(size * size, rel=1e-12)
+        assert square.area() == pytest.approx(size * size, rel=1e-12)
         theta = 0.7
         c, s = math.cos(theta), math.sin(theta)
         rotated = Polygon([(x * c - y * s, x * s + y * c) for x, y in square.vertices])
-        assert polygon_area(rotated) == pytest.approx(size * size, rel=1e-12)
+        assert rotated.area() == pytest.approx(size * size, rel=1e-12)
     for base, height in ((1.0, 2.0), (3.0, 5.0), (0.2, 0.9)):
         triangle = Polygon([(0, 0), (base, 0), (0, height)])
-        assert polygon_area(triangle) == pytest.approx(base * height / 2, rel=1e-12)
+        assert triangle.area() == pytest.approx(base * height / 2, rel=1e-12)
     for segments in (16, 32, 64, 128, 360):
         for radius in (0.35, 1.0, 12.0):
             gon = circle_polygon((1.0, -2.0), radius, segments)
             closed_form = (segments / 2) * radius * radius * math.sin(2 * math.pi / segments)
-            assert polygon_area(gon) == pytest.approx(closed_form, rel=1e-12)
+            assert gon.area() == pytest.approx(closed_form, rel=1e-12)
     print(f"\nACCEPTANCE 5 geometry-oracle: PASS (200 configs, worst MC deviation {worst:.4%})")
 
 

@@ -386,7 +386,37 @@ def _default_fraction(ratio: float) -> float:
     raise AssertionError
 
 
+def _exhaustive_thresholds(labeled, grid_step):
+    # Reference search over every grid triple t1 > t2 > t3: the most correct
+    # labels, then the largest margin, then the smallest triple.
+    ratios = [bbox.aspect_ratio() for bbox, _ in labeled]
+    grid = [round(i * grid_step, 12) for i in range(1, int(round(1.0 / grid_step)) + 1)]
+    best_key, best = None, None
+    for t3, t2, t1 in itertools.combinations(grid, 3):
+        correct = sum(
+            (1.0 if r >= t1 else 0.7 if r >= t2 else 0.5 if r >= t3 else 0.4) == fraction
+            for r, (_, fraction) in zip(ratios, labeled)
+        )
+        margin = sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)
+        key = (correct, margin)
+        if best_key is None or key > best_key or (key == best_key and (t1, t2, t3) < best):
+            best_key, best = key, (t1, t2, t3)
+    return best
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("grid_step", [0.1, 0.05])
+    def test_matches_exhaustive_search_on_random_labels(self, grid_step):
+        rng = random.Random(int(grid_step * 100))
+        for _ in range(30):
+            # Heights on the percent grid put ratios exactly on thresholds;
+            # the others fall between grid values.
+            heights = rng.sample(range(1, 101), rng.randint(1, 12))
+            heights += [rng.uniform(1, 100) for _ in range(rng.randint(0, 12))]
+            labeled = [(BoundingBox(0, 0, 100, h), rng.choice((1.0, 0.7, 0.5, 0.4))) for h in heights]
+            config = calibrate_thresholds(labeled, grid_step=grid_step)
+            assert tuple(t for t, _ in config.wheel_fractions[:3]) == _exhaustive_thresholds(labeled, grid_step)
+
     def test_recovers_defaults_from_dense_labels(self):
         labeled = [(_ratio_bbox(i), _default_fraction(i / 100)) for i in range(1, 101)]
         config = calibrate_thresholds(labeled, grid_step=0.01)

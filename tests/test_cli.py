@@ -185,6 +185,15 @@ class TestSynth:
         assert sum(int(v) for row in rows for v in row[1:]) == 20
 
 
+    @pytest.mark.parametrize("floor", ["-1", "5", "NaN"])
+    def test_bad_detectability_floor_exits_2(self, tmp_path, capsys, floor):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"detectability_floor": {floor}}}', encoding="utf-8")
+        code, _, err = run_main(capsys, "synth", "--scenes", "1", "--seed", "1", "--config", str(config))
+        assert code == EXIT_INPUT
+        assert "detectability_floor must be in [0, 1]" in err
+
+
 class TestCalibrate:
     def _write_labels(self, path, rows, header="width,height,fraction"):
         lines = [header] + [",".join(str(v) for v in row) for row in rows]

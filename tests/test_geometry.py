@@ -13,7 +13,6 @@ from occlusion_meter.geometry import (
     circle_polygon,
     clip,
     points_in_convex,
-    polygon_area,
     rect_polygon,
     visible_area,
     _clip_half_plane,
@@ -93,16 +92,16 @@ class TestPolygon:
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area(Polygon(UNIT_SQUARE)) == 1.0
+        assert Polygon(UNIT_SQUARE).area() == 1.0
 
     def test_right_triangle(self):
-        assert polygon_area(Polygon([(0, 0), (2, 0), (0, 2)])) == 2.0
+        assert Polygon([(0, 0), (2, 0), (0, 2)]).area() == 2.0
 
     def test_regular_64_gon_close_to_pi(self):
         poly = circle_polygon((0, 0), 1.0, 64)
         closed_form = (64 / 2) * math.sin(2 * math.pi / 64)
-        assert polygon_area(poly) == pytest.approx(closed_form, rel=1e-12)
-        assert polygon_area(poly) == pytest.approx(math.pi, rel=0.005)
+        assert poly.area() == pytest.approx(closed_form, rel=1e-12)
+        assert poly.area() == pytest.approx(math.pi, rel=0.005)
 
     @given(
         st.floats(min_value=-1e3, max_value=1e3),

@@ -106,6 +106,14 @@ class TestParseDetections:
             frame = parse_detections(doc(preds), permissive=True)
         assert len(frame.detections) == 1
 
+    def test_permissive_drop_log_names_prediction_index(self, caplog):
+        preds = [dict(WHEEL, **{"class": "pedal"}), WHEEL, dict(WHEEL, **{"class": "frame", "x": 900})]
+        with caplog.at_level(logging.WARNING, logger="occlusion_meter.ingest"):
+            frame = parse_detections(doc(preds), permissive=True)
+        assert [d.part for d in frame.detections] == [PartClass.WHEEL]
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert messages[-1] == "dropping predictions[2]: zero-width bbox at index 2"
+
     def test_polygon_points_parsed(self):
         pred = dict(
             WHEEL,

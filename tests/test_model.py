@@ -120,6 +120,13 @@ class TestClassifierConfig:
         with pytest.raises(ValueError, match="confidence_threshold"):
             ClassifierConfig(confidence_threshold=1.5)
 
+    @pytest.mark.parametrize("floor", [-1.0, 5.0, math.nan])
+    def test_detectability_floor_range(self, floor):
+        with pytest.raises(ValueError, match="detectability_floor must be in"):
+            ClassifierConfig(detectability_floor=floor)
+        with pytest.raises(ValueError, match="detectability_floor must be in"):
+            ClassifierConfig.from_dict({"detectability_floor": floor})
+
     def test_roundtrip(self):
         config = ClassifierConfig(confidence_threshold=0.25)
         assert ClassifierConfig.from_dict(config.to_dict()) == config
@@ -266,3 +273,29 @@ class TestValidateFrame:
     def test_non_positive_image_dimensions(self):
         with pytest.raises(FrameValidationError, match="non-positive image dimensions"):
             validate_frame(DetectionFrame("img", 0, 640, ()))
+
+    @pytest.mark.parametrize("width, height", [(math.nan, 640), (640, math.inf)])
+    def test_non_finite_image_dimensions(self, width, height):
+        with pytest.raises(FrameValidationError, match="non-finite image dimensions"):
+            validate_frame(DetectionFrame("img", width, height, ()))
+
+    @pytest.mark.parametrize(
+        "bbox, confidence, polygon, message",
+        [
+            (BoundingBox(math.nan, 10, 100, 100), 0.9, None, "non-finite bbox coordinate at index 1"),
+            (BoundingBox(10, 10, math.inf, 100), 0.9, None, "non-finite bbox coordinate at index 1"),
+            (BoundingBox(10, 10, 100, 100), math.nan, None, "confidence out of range at index 1: nan"),
+            (BoundingBox(10, 10, 100, 100), 0.9, ((10, 10), (100, math.nan), (100, 100)), "non-finite polygon vertex at index 1"),
+            (BoundingBox(10, 10, 640, 100), 0.9, ((10, 10), (math.inf, 10), (640, 100)), "non-finite polygon vertex at index 1"),
+        ],
+    )
+    def test_non_finite_numbers_name_index(self, bbox, confidence, polygon, message):
+        frame = _frame(
+            [
+                PartDetection(PartClass.FRAME, BoundingBox(0, 0, 10, 10), 0.9),
+                PartDetection(PartClass.WHEEL, bbox, confidence, polygon=polygon),
+            ]
+        )
+        with pytest.raises(FrameValidationError) as info:
+            validate_frame(frame)
+        assert info.value.errors == [message]
