@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classifier import calibrate_thresholds, classify_frame
@@ -31,8 +32,6 @@ def _load_config(args: argparse.Namespace) -> ClassifierConfig:
         config = ClassifierConfig()
     threshold = getattr(args, "confidence_threshold", None)
     if threshold is not None:
-        from dataclasses import replace
-
         config = replace(config, confidence_threshold=threshold)
     return config
 

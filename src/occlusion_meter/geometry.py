@@ -208,20 +208,24 @@ def _subtract_convex(piece: list[Point], occluder: ConvexPolygon) -> list[list[P
     return finished
 
 
-def visible_area(part: Polygon, occluders: Sequence[Polygon]) -> float:
-    """Area of ``part`` not covered by the union of the occluders.
+def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Point]]:
+    """Disjoint counter-clockwise vertex lists covering ``part`` minus the occluders.
 
-    Exact for any number of convex occluders: each occluder is subtracted in
-    turn from a list of disjoint pieces (starting with the part) by
-    Sutherland-Hodgman half-plane splits, and the shoelace areas of the
-    surviving pieces are summed; pieces below ``_MIN_AREA`` are dropped. A
-    non-convex part may leave zero-area bridge edges, which cancel in the sum.
+    Exact for any number of convex occluders: each is subtracted in turn from
+    the pieces (starting with the part) by Sutherland-Hodgman half-plane
+    splits, and pieces below ``_MIN_AREA`` are dropped. A non-convex part may
+    leave zero-area bridge edges, which cancel in a shoelace sum.
     """
     pieces = [list(part.vertices)]
     for occ in occluders:
         occ = _as_convex(occ)
         pieces = [kept for piece in pieces for kept in _subtract_convex(piece, occ)]
-    return min(math.fsum(_piece_area(p) for p in pieces), part.area())
+    return pieces
+
+
+def visible_area(part: Polygon, occluders: Sequence[Polygon]) -> float:
+    """Area of ``part`` not covered by the occluders: the shoelace sum of its ``visible_pieces``, capped."""
+    return min(math.fsum(_piece_area(p) for p in visible_pieces(part, occluders)), part.area())
 
 
 def points_in_convex(polygon: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

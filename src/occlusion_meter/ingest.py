@@ -41,6 +41,7 @@ from .model import (
     PartDetection,
     UnknownPartLabelError,
     VisibilityReport,
+    json_number,
     validate_detection,
     validate_frame,
 )
@@ -76,15 +77,18 @@ class ParseError(OcclusionMeterError):
 
 
 def _require(mapping: Mapping, key: str, path: str):
+    if not isinstance(mapping, dict):  # json.loads makes every object a dict
+        raise ParseError("expected an object", path)
     if key not in mapping:
         raise ParseError(f"missing required field: {path}.{key}" if path else f"missing required field: {key}")
     return mapping[key]
 
 
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}", path)
-    number = float(value)
+    try:
+        number = json_number(value)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
     if not math.isfinite(number):
         raise ParseError(f"expected a finite number, got {value!r}", path)
     return number
@@ -92,9 +96,6 @@ def _as_number(value, path: str) -> float:
 
 def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | None:
     path = f"predictions[{index}]"
-    if not isinstance(pred, Mapping):
-        raise ParseError("expected an object", path)
-
     label = _require(pred, "class", path)
     try:
         part = PartClass.from_label(label)
@@ -151,8 +152,6 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
         raise ParseError("top level must be an object")
 
     image = _require(data, "image", "")
-    if not isinstance(image, Mapping):
-        raise ParseError("expected an object", "image")
     image_id = _require(image, "id", "image")
     if not isinstance(image_id, str):
         raise ParseError("image id must be a string", "image.id")
@@ -198,19 +197,9 @@ def reports_to_csv(reports: Sequence[VisibilityReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
-    for report in reports:
-        writer.writerow(
-            [
-                report.image_id,
-                report.bicycle_index,
-                f"{report.wheel_pct:.1f}",
-                f"{report.frame_pct:.1f}",
-                f"{report.handlebar_pct:.1f}",
-                f"{report.visibility_pct:.1f}",
-                f"{report.occlusion_pct:.1f}",
-                report.band.value,
-            ]
-        )
+    for r in reports:
+        pcts = (r.wheel_pct, r.frame_pct, r.handlebar_pct, r.visibility_pct, r.occlusion_pct)
+        writer.writerow([r.image_id, r.bicycle_index, *(f"{v:.1f}" for v in pcts), r.band.value])
     return buffer.getvalue()
 
 

@@ -191,10 +191,31 @@ class DetectionFrame:
         return iter(self.detections)
 
 
-def _check_fields(cls, data: Mapping, what: str) -> None:
+def json_number(value) -> float:
+    """A JSON number (not a bool) as a float, possibly non-finite; ValueError for any other type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _from_fields(cls, data: Mapping, what: str, convert: Mapping):
+    # Build ``cls`` from a JSON object, each value through its ``convert``
+    # entry or ``json_number``; ``cls`` checks the values.
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = convert.get(key, json_number)(value)
+        except ValueError as exc:
+            raise ValueError(f"{what} field {key}: {exc}") from None
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -217,14 +238,15 @@ class SurfaceAreaModel:
     handlebar_share_pct: float = 1.0
 
     def __post_init__(self) -> None:
+        # Written so that a non-finite field (inf - inf is NaN) fails too.
         expected_total = 2 * self.wheel_area_cm2 + self.frame_area_cm2 + self.handlebar_area_cm2
-        if not math.isclose(self.total_area_cm2, expected_total, rel_tol=0, abs_tol=1e-6):
+        if not abs(self.total_area_cm2 - expected_total) <= 1e-6:
             raise ValueError(
                 f"total_area_cm2 must equal 2*wheel + frame + handlebar "
                 f"({expected_total}), got {self.total_area_cm2}"
             )
         share_sum = 2 * self.wheel_share_pct + self.frame_share_pct + self.handlebar_share_pct
-        if not math.isclose(share_sum, 100.0, rel_tol=0, abs_tol=1e-9):
+        if not abs(share_sum - 100.0) <= 1e-9:
             raise ValueError(f"part shares must sum to 100.0, got {share_sum}")
 
     def share_pct(self, part: PartClass) -> float:
@@ -240,8 +262,7 @@ class SurfaceAreaModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SurfaceAreaModel":
-        _check_fields(cls, data, "area model")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return _from_fields(cls, data, "area model", {})
 
 
 # Descending (ratio_threshold, fraction) pairs for the wheel aspect-ratio
@@ -288,35 +309,36 @@ class ClassifierConfig:
             raise ValueError(f"detectability_floor must be in [0, 1], got {self.detectability_floor}")
         if not pairs:
             raise ValueError("wheel_fractions must not be empty")
-        thresholds = [t for t, _ in pairs]
-        fractions = [f for _, f in pairs]
+        thresholds, fractions = map(list, zip(*pairs))
         if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError(f"ratio thresholds must be strictly decreasing, got {thresholds}")
+            raise ValueError(f"wheel_fractions: ratio thresholds must be strictly decreasing, got {thresholds}")
         if any(b >= a for a, b in zip(fractions, fractions[1:])):
-            raise ValueError(f"fractions must be strictly decreasing, got {fractions}")
+            raise ValueError(f"wheel_fractions: fractions must be strictly decreasing, got {fractions}")
         if thresholds[-1] != 0.0:
-            raise ValueError("last ratio threshold must be 0.0 so the rule is total")
+            raise ValueError("wheel_fractions: last ratio threshold must be 0.0 so the rule is total")
         if fractions[0] != 1.0:
-            raise ValueError("first fraction must be 1.0")
+            raise ValueError("wheel_fractions: first fraction must be 1.0")
         if any(not 0.0 < f <= 1.0 for f in fractions):
-            raise ValueError("all fractions must be in (0, 1]")
+            raise ValueError("wheel_fractions: all fractions must be in (0, 1]")
         if any(not 0.0 <= t <= 1.0 for t in thresholds):
-            raise ValueError("all ratio thresholds must be in [0, 1]")
-        if not self.grouping_distance_factor > 0:
-            raise ValueError("grouping_distance_factor must be positive")
+            raise ValueError("wheel_fractions: all ratio thresholds must be in [0, 1]")
+        if not 0 < self.grouping_distance_factor < math.inf:
+            raise ValueError("grouping_distance_factor must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ClassifierConfig":
-        """Build a config from a plain mapping; missing fields keep defaults.
+        """Build a config from a JSON object; missing fields keep defaults, errors name the field."""
+        convert = {"wheel_fractions": _wheel_pairs, "area_model": SurfaceAreaModel.from_dict}
+        return _from_fields(cls, data, "config", convert)
 
-        Scalars go through ``float``; ``__post_init__`` coerces the wheel pairs.
-        """
-        _check_fields(cls, data, "config")
-        convert = {"wheel_fractions": tuple, "area_model": SurfaceAreaModel.from_dict}
-        return cls(**{k: convert.get(k, float)(v) for k, v in data.items()})
+
+def _wheel_pairs(value) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+        raise ValueError(f"expected a list of [ratio, fraction] pairs, got {value!r}")
+    return tuple((json_number(t), json_number(f)) for t, f in value)
 
 
 # How many detections of each class one bicycle instance may hold.
@@ -443,16 +465,8 @@ def validate_detection(det: PartDetection, index: int, image_width: float, image
             )
             for x, y in polygon
         )
-        px_min = min(p[0] for p in polygon)
-        py_min = min(p[1] for p in polygon)
-        px_max = max(p[0] for p in polygon)
-        py_max = max(p[1] for p in polygon)
-        deviation = max(
-            abs(px_min - bbox.x_min),
-            abs(py_min - bbox.y_min),
-            abs(px_max - bbox.x_max),
-            abs(py_max - bbox.y_max),
-        )
+        extent = (*map(min, zip(*polygon)), *map(max, zip(*polygon)))
+        deviation = max(abs(a - b) for a, b in zip(extent, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max)))
         if deviation > POLYGON_BBOX_TOLERANCE:
             raise FrameValidationError(
                 [f"polygon extent disagrees with bbox at index {index} (off by {deviation:.2f} px)"]

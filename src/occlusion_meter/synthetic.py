@@ -30,7 +30,7 @@ import numpy as np
 
 from . import evaluation
 from .classifier import classify_frame, occlusion_band
-from .geometry import ConvexPolygon, circle_polygon, points_in_convex, rect_polygon, visible_area
+from .geometry import ConvexPolygon, circle_polygon, points_in_convex, rect_polygon, visible_area, visible_pieces
 from .model import (
     BoundingBox,
     ClassifierConfig,
@@ -443,31 +443,14 @@ def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> Gr
     return GroundTruth(fractions=fractions, visibility_pct=visibility, occlusion_pct=100.0 - visibility)
 
 
-def _visible_bbox(inst: PartInstance, occluders: Sequence[Rect], cells: int = 256) -> BoundingBox | None:
-    # A cells x cells raster of cell centres over the part bbox. Shapes test
-    # a row against a column of centres; an occluder rect covers a block.
-    x0, y0, x1, y1 = inst.bounds()
-    dx = (x1 - x0) / cells
-    dy = (y1 - y0) / cells
-    xs = x0 + (np.arange(cells) + 0.5) * dx
-    ys = y0 + (np.arange(cells) + 0.5) * dy
-    mask = np.logical_or.reduce([shape.contains(xs[np.newaxis, :], ys[:, np.newaxis]) for shape in inst.shapes])
-    for rx0, ry0, rx1, ry1 in occluders:
-        rows = slice(np.searchsorted(ys, ry0), np.searchsorted(ys, ry1, side="right"))
-        cols = slice(np.searchsorted(xs, rx0), np.searchsorted(xs, rx1, side="right"))
-        mask[rows, cols] = False
-    vis_x = xs[mask.any(axis=0)]
-    if not vis_x.size:
+def _visible_bbox(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> BoundingBox | None:
+    # The bounds of the exact visible region: the pieces of each shape that
+    # survive the occluders, as ground_truth measures them.
+    points = [p for shape in inst.shapes for piece in visible_pieces(shape.polygon(), occluders) for p in piece]
+    if not points:
         return None
-    vis_y = ys[mask.any(axis=1)]
-    # Cell centers under-reach the true extent by up to half a cell.
-    bbox = BoundingBox(
-        float(vis_x.min()) - dx / 2.0,
-        float(vis_y.min()) - dy / 2.0,
-        float(vis_x.max()) + dx / 2.0,
-        float(vis_y.max()) + dy / 2.0,
-    )
-    return bbox.clamped(CANVAS_SIZE, CANVAS_SIZE)
+    xs, ys = zip(*points)
+    return BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(CANVAS_SIZE, CANVAS_SIZE)
 
 
 def simulate_detections(
@@ -484,12 +467,13 @@ def simulate_detections(
     """
     config = config or ClassifierConfig()
     truth = truth or ground_truth(scene, config.area_model)
+    occluders = scene.occluder_polygons()
     detections = []
     for inst in scene.part_instances():
         fraction = truth.fractions[inst.slot]
         if fraction < config.detectability_floor:
             continue
-        bbox = _visible_bbox(inst, scene.occluders)
+        bbox = _visible_bbox(inst, occluders)
         if bbox is None or not bbox.is_valid():
             continue
         confidence = min(1.0, 0.5 + 0.5 * fraction)

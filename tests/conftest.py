@@ -50,6 +50,24 @@ def scenario_reports(scenario_frames):
     return reports
 
 
+# Config documents of the wrong shape, each with the field its error must name.
+BAD_CONFIGS = [
+    ('{"confidence_threshold": null}', "confidence_threshold"),
+    ('{"confidence_threshold": "0.5"}', "confidence_threshold"),
+    ('{"detectability_floor": true}', "detectability_floor"),
+    ('{"grouping_distance_factor": 1e999}', "grouping_distance_factor"),
+    ('{"grouping_distance_factor": 1' + "0" * 400 + "}", "grouping_distance_factor"),
+    ('{"wheel_fractions": 5}', "wheel_fractions"),
+    ('{"wheel_fractions": [[0.85, 1.0], [0.0]]}', "wheel_fractions"),
+    ('{"wheel_fractions": [[1.0, 1.0], [0.0, NaN]]}', "wheel_fractions"),
+    ('{"area_model": 3}', "area_model"),
+    ('{"area_model": {"wheel_share_pct": null}}', "wheel_share_pct"),
+    ('{"area_model": {"wheel_area_cm2": Infinity, "total_area_cm2": Infinity}}', "total_area_cm2"),
+    ("[0.5]", "config must be an object"),
+]
+BAD_CONFIG_IDS = [document[:40] for document, _ in BAD_CONFIGS]
+
+
 # ---------------------------------------------------------------------------
 # Independent geometry oracles
 # ---------------------------------------------------------------------------
@@ -135,13 +153,13 @@ def mc_visible_area(part_vertices, occluder_vertex_lists, samples: int, seed: in
     return (x1 - x0) * (y1 - y0) * float(visible.sum()) / samples
 
 
-def compressed_visible_area(part_rects, occluder_rects) -> float:
-    """Exact area of a union of axis-aligned rectangles minus other rectangles.
+def compressed_visible_cells(part_rects, occluder_rects) -> list[tuple[float, float, float, float]]:
+    """The visible cells of a union of axis-aligned rectangles minus other rectangles.
 
     Coordinate compression: every rectangle edge cuts the plane into a grid
     of cells that each lie wholly inside or wholly outside every rectangle,
     so testing one cell centre decides the whole cell. ``part_rects`` must
-    have disjoint interiors. Rectangles are (x_min, y_min, x_max, y_max).
+    have disjoint interiors. Rectangles and cells are (x_min, y_min, x_max, y_max).
     """
     rects = list(part_rects) + list(occluder_rects)
     xs = sorted({r[0] for r in rects} | {r[2] for r in rects})
@@ -155,8 +173,22 @@ def compressed_visible_area(part_rects, occluder_rects) -> float:
         for ya, yb in zip(ys, ys[1:]):
             cx, cy = (xa + xb) / 2.0, (ya + yb) / 2.0
             if hit(part_rects, cx, cy) and not hit(occluder_rects, cx, cy):
-                cells.append((xb - xa) * (yb - ya))
-    return math.fsum(cells)
+                cells.append((xa, ya, xb, yb))
+    return cells
+
+
+def compressed_visible_area(part_rects, occluder_rects) -> float:
+    """Exact area of a union of axis-aligned rectangles minus other rectangles."""
+    return math.fsum((xb - xa) * (yb - ya) for xa, ya, xb, yb in compressed_visible_cells(part_rects, occluder_rects))
+
+
+def compressed_visible_bbox(part_rects, occluder_rects) -> tuple[float, float, float, float] | None:
+    """Exact bbox of a union of axis-aligned rectangles minus other rectangles, or None."""
+    cells = compressed_visible_cells(part_rects, occluder_rects)
+    if not cells:
+        return None
+    x0s, y0s, x1s, y1s = zip(*cells)
+    return min(x0s), min(y0s), max(x1s), max(y1s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURE_DIR
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, FIXTURE_DIR
 from occlusion_meter.cli import EXIT_INPUT, EXIT_OK, main
 
 
@@ -193,6 +197,18 @@ class TestSynth:
         assert code == EXIT_INPUT
         assert "detectability_floor must be in [0, 1]" in err
 
+    @pytest.mark.parametrize("document, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, monkeypatch, document, field):
+        config = tmp_path / "config.json"
+        config.write_text(document, encoding="utf-8")
+        code, _, err = run_main(capsys, "synth", "--scenes", "1", "--seed", "1", "--config", str(config))
+        assert code == EXIT_INPUT
+        assert field in err and "internal error" not in err
+        monkeypatch.setenv("OCCLUSION_METER_CONFIG", str(config))
+        code, _, err = run_main(capsys, "synth", "--scenes", "1", "--seed", "1")
+        assert code == EXIT_INPUT
+        assert field in err and "internal error" not in err
+
 
 class TestCalibrate:
     def _write_labels(self, path, rows, header="width,height,fraction"):
@@ -249,3 +265,94 @@ class TestEntryPoint:
         )
         assert result.returncode == EXIT_OK
         assert "100.0,0.0,low_or_none" in result.stdout
+
+
+# JSON values of every type, with numbers at the edges: non-finite floats,
+# ints beyond the float range, subnormals.
+_numbers = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, 10**400, -(10**400), 2**63]),
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(plausible):
+    # Two draws in three are well formed, so a document gets past its first field.
+    return st.one_of(plausible, plausible, _json)
+
+
+def _optional(**entries):
+    return st.fixed_dictionaries({}, optional={k: _or_junk(v) for k, v in entries.items()})
+
+
+_coordinate = st.floats(-50, 700)
+_point = _or_junk(st.fixed_dictionaries({"x": _or_junk(_coordinate), "y": _or_junk(_coordinate)}))
+_prediction = st.fixed_dictionaries(
+    {
+        "class": _or_junk(st.sampled_from(["wheel", " Frame", "handlebar", "pedal"])),
+        "confidence": _or_junk(st.floats(0, 1)),
+    },
+    optional={
+        **{k: _or_junk(_coordinate) for k in ("x", "y", "width", "height", "x_min", "y_min", "x_max", "y_max")},
+        "points": _or_junk(st.lists(_point, max_size=5)),
+    },
+)
+_image = st.fixed_dictionaries(
+    {"id": _or_junk(st.text(max_size=4)), "width": _or_junk(st.integers(1, 2000)), "height": _or_junk(st.integers(1, 2000))}
+)
+_document = _or_junk(
+    st.fixed_dictionaries(
+        {"image": _or_junk(_image), "predictions": _or_junk(st.lists(_or_junk(_prediction), max_size=6))}
+    )
+)
+_config = _or_junk(
+    _optional(
+        confidence_threshold=st.floats(0, 1),
+        wheel_fractions=st.lists(st.lists(st.floats(0, 1) | _numbers, min_size=2, max_size=2), max_size=5),
+        detectability_floor=st.floats(0, 1),
+        grouping_distance_factor=st.floats(0, 10),
+        area_model=_optional(wheel_area_cm2=_numbers, total_area_cm2=_numbers, wheel_share_pct=_numbers),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestInputContractFuzz:
+    """Every input ends in a report (exit 0) or an input error (exit 2), never an internal error."""
+
+    @given(document=_document, config=st.none() | _config, permissive=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_classify_exits_0_or_2(self, fuzz_dir, document, config, permissive):
+        path = fuzz_dir / "detections.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = ["classify", str(path)] + ["--permissive"] * permissive
+        if config is not None:
+            config_path = fuzz_dir / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(config_path)]
+        code, err = _exit_code(argv)
+        assert code in (EXIT_OK, EXIT_INPUT), err
+
+    @given(config=_config)
+    @settings(max_examples=60, deadline=None)
+    def test_synth_exits_0_or_2(self, fuzz_dir, config):
+        path = fuzz_dir / "synth_config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, err = _exit_code(["synth", "--scenes", "1", "--seed", "3", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_INPUT), err

@@ -1,6 +1,9 @@
+import json
 import math
 
 import pytest
+
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS
 
 from occlusion_meter.model import (
     BoundingBox,
@@ -134,6 +137,11 @@ class TestClassifierConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ClassifierConfig.from_dict({"confidence": 0.5})
+
+    @pytest.mark.parametrize("document, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_wrong_types_and_non_finite_values_name_field(self, document, field):
+        with pytest.raises(ValueError, match=field):
+            ClassifierConfig.from_dict(json.loads(document))
 
 
 class TestVisibilityReport:
