@@ -82,8 +82,8 @@ def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGro
     Single-link clustering: two parts join when the gap between their boxes
     is at most ``grouping_distance_factor`` times the largest wheel bbox
     diagonal in the frame (largest diagonal of any part when no wheel was
-    detected). Each cluster is then pruned to at most 2 wheels, 1 frame and
-    1 handlebar. Groups are ordered by their first detection index.
+    detected). Each cluster is then pruned to ``model.PART_LIMITS`` detections
+    per class. Groups are ordered by their first detection index.
 
     This assignment step is a heuristic for multi-bicycle frames; the
     visibility scoring itself is independent of it.

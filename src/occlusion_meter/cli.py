@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -104,28 +105,38 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _label_number(cell: str | None, where: str) -> float:
+    # One label cell as a finite float; a row shorter than the header leaves its last cells None.
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {cell!r}", where)
+    return value
+
+
 def _read_label_rows(path: str) -> list[tuple[BoundingBox, float]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError("empty labels file", path)
-        fields = set(reader.fieldnames)
-        corner = {"x_min", "y_min", "x_max", "y_max", "fraction"}
-        sized = {"width", "height", "fraction"}
-        labeled = []
-        for row in reader:
-            if corner <= fields:
-                bbox = BoundingBox(
-                    float(row["x_min"]), float(row["y_min"]), float(row["x_max"]), float(row["y_max"])
-                )
-            elif sized <= fields:
-                bbox = BoundingBox(0.0, 0.0, float(row["width"]), float(row["height"]))
+        try:
+            if reader.fieldnames is None:
+                raise ParseError("empty labels file", path)
+            for columns in (("x_min", "y_min", "x_max", "y_max", "fraction"), ("width", "height", "fraction")):
+                if set(columns) <= set(reader.fieldnames):
+                    break
             else:
-                raise ParseError(
-                    "labels need columns width,height,fraction or x_min,y_min,x_max,y_max,fraction",
-                    path,
-                )
-            labeled.append((bbox, float(row["fraction"])))
+                raise ParseError("labels need columns width,height,fraction or x_min,y_min,x_max,y_max,fraction", path)
+            labeled = []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                *box, fraction = (_label_number(row[c], f"{where}, column {c}") for c in columns)
+                bbox = BoundingBox(*box) if len(box) == 4 else BoundingBox(0.0, 0.0, *box)
+                if not bbox.is_valid():
+                    raise ParseError("bbox must have positive width and height", where)
+                labeled.append((bbox, fraction))
+        except csv.Error as exc:
+            raise ParseError(str(exc), path) from None
     return labeled
 
 

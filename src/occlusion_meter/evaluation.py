@@ -101,20 +101,10 @@ _TABLE_COLUMNS = (
 
 def _table_rows(reports: Sequence[VisibilityReport]) -> list[list[str]]:
     rows = []
-    for report in reports:
-        scenario = report.image_id
-        if report.bicycle_index > 0:
-            scenario = f"{report.image_id}#{report.bicycle_index}"
-        rows.append(
-            [
-                scenario,
-                f"{report.wheel_pct:.1f}",
-                f"{report.frame_pct:.1f}",
-                f"{report.handlebar_pct:.1f}",
-                f"{report.visibility_pct:.1f}",
-                f"{report.occlusion_pct:.1f}",
-            ]
-        )
+    for r in reports:
+        scenario = f"{r.image_id}#{r.bicycle_index}" if r.bicycle_index > 0 else r.image_id
+        pcts = (r.wheel_pct, r.frame_pct, r.handlebar_pct, r.visibility_pct, r.occlusion_pct)
+        rows.append([scenario, *(f"{v:.1f}" for v in pcts)])
     return rows
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 Point = tuple[float, float]
 
 # Vertices within this distance of a clip edge count as inside (closed
@@ -226,17 +224,4 @@ def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Poi
 def visible_area(part: Polygon, occluders: Sequence[Polygon]) -> float:
     """Area of ``part`` not covered by the occluders: the shoelace sum of its ``visible_pieces``, capped."""
     return min(math.fsum(_piece_area(p) for p in visible_pieces(part, occluders)), part.area())
-
-
-def points_in_convex(polygon: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Half-plane containment test for a convex polygon, vectorized; ``xs`` and ``ys`` broadcast."""
-    inside = np.ones(np.broadcast_shapes(np.shape(xs), np.shape(ys)), dtype=bool)
-    vs = polygon.vertices
-    n = len(vs)
-    for i in range(n):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % n]
-        # a - b >= 0 exactly when a >= b for finite doubles, so compare.
-        inside &= (bx - ax) * (ys - ay) >= (by - ay) * (xs - ax)
-    return inside
 

@@ -458,13 +458,8 @@ def validate_detection(det: PartDetection, index: int, image_width: float, image
             raise FrameValidationError([f"polygon with fewer than 3 vertices at index {index}"])
         if not all(math.isfinite(c) for vertex in polygon for c in vertex):
             raise FrameValidationError([f"non-finite polygon vertex at index {index}"])
-        polygon = tuple(
-            (
-                min(max(float(x), 0.0), float(image_width)),
-                min(max(float(y), 0.0), float(image_height)),
-            )
-            for x, y in polygon
-        )
+        w, h = float(image_width), float(image_height)
+        polygon = tuple((min(max(float(x), 0.0), w), min(max(float(y), 0.0), h)) for x, y in polygon)
         extent = (*map(min, zip(*polygon)), *map(max, zip(*polygon)))
         deviation = max(abs(a - b) for a, b in zip(extent, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max)))
         if deviation > POLYGON_BBOX_TOLERANCE:

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
 from .classifier import classify_frame, occlusion_band
-from .geometry import ConvexPolygon, circle_polygon, points_in_convex, rect_polygon, visible_area, visible_pieces
+from .geometry import ConvexPolygon, circle_polygon, rect_polygon, visible_area, visible_pieces
 from .model import (
     BoundingBox,
     ClassifierConfig,
@@ -46,12 +47,14 @@ WHEEL_SEGMENTS = 128
 
 _PLACEMENT_MARGIN = 10.0
 _MAX_SAMPLING_ATTEMPTS = 1000
-_SAMPLING_BATCH = 16
 _COVERAGE_TOLERANCE = 0.02
 
 Rect = tuple[float, float, float, float]
 PointM = tuple[float, float]
 TriangleM = tuple[PointM, PointM, PointM]
+
+# ``row_masks(xs, ys)``: per y in ys, an int whose bit j is set when (xs[j], y) lies in
+# the shape. Column and row terms are computed once, so a point costs one add or compare.
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,10 @@ class Circle:
     def polygon(self) -> ConvexPolygon:
         return circle_polygon((self.cx, self.cy), self.radius, WHEEL_SEGMENTS)
 
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (xs - self.cx) ** 2 + (ys - self.cy) ** 2 <= self.radius**2
+    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
+        dxs, dys = [(x - self.cx) * (x - self.cx) for x in xs], [(y - self.cy) * (y - self.cy) for y in ys]
+        r2 = self.radius**2
+        return [sum(1 << j for j, dx in enumerate(dxs) if dx + dy <= r2) for dy in dys]
 
     def bounds(self) -> Rect:
         return (self.cx - self.radius, self.cy - self.radius, self.cx + self.radius, self.cy + self.radius)
@@ -79,8 +84,14 @@ class Triangle:
     def polygon(self) -> ConvexPolygon:
         return ConvexPolygon([self.a, self.b, self.c])
 
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return points_in_convex(self.polygon(), xs, ys)
+    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
+        # Left of every counter-clockwise edge a->b, closed.
+        vs = self.polygon().vertices
+        masks = [(1 << len(xs)) - 1] * len(ys)
+        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+            rights, lefts = [(by - ay) * (x - ax) for x in xs], [(bx - ax) * (y - ay) for y in ys]
+            masks = [m & sum(1 << j for j, r in enumerate(rights) if left >= r) for m, left in zip(masks, lefts)]
+        return masks
 
     def bounds(self) -> Rect:
         xs = (self.a[0], self.b[0], self.c[0])
@@ -98,8 +109,9 @@ class RectShape:
     def polygon(self) -> ConvexPolygon:
         return rect_polygon(self.x_min, self.y_min, self.x_max, self.y_max)
 
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (xs >= self.x_min) & (xs <= self.x_max) & (ys >= self.y_min) & (ys <= self.y_max)
+    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
+        columns = sum(1 << j for j, x in enumerate(xs) if self.x_min <= x <= self.x_max)
+        return [columns if self.y_min <= y <= self.y_max else 0 for y in ys]
 
     def bounds(self) -> Rect:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -218,6 +230,10 @@ class BicycleTemplate:
         )
 
 
+# Validated once; generate_scene uses it when no template is given.
+_DEFAULT_TEMPLATE = BicycleTemplate()
+
+
 def _place_shape(shape: Shape, scale: float, ox: float, oy: float) -> Shape:
     # Meter coordinates are y-up with the ground at y=0; pixels are y-down
     # with the ground line at oy.
@@ -286,42 +302,53 @@ class Scene:
         return cls.from_dict(json.loads(document))
 
 
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    # n >= 2 evenly spaced points from a to b: i * step + a, and b itself last.
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
+
+
 class _CoverageProbe:
     """Cheap coverage estimator from fixed sample points inside each part.
 
-    Point sets are int bitsets; per axis, the points below each distinct
-    coordinate are kept, so a rect costs four bisects and a few int ops.
+    Each part with points owns a block of _GRID² int bits, bit i * _GRID + j
+    for its grid point (xs[j], ys[i]); its inside points are a bitset over the
+    block. Per axis, the slots below each distinct coordinate are kept, so a
+    rect costs four bisects and a few int ops.
     """
 
     _GRID = 24
 
     def __init__(self, instances: Sequence[PartInstance]):
-        xs, ys = [], []
+        n = self._GRID
+        column = sum(1 << (n * i) for i in range(n))  # slot j = 0 of every grid row
+        x_slots, y_slots = [], []  # (coordinate, the slots at that coordinate), per axis
         self.parts: list[tuple[int, int, float]] = []  # (bitset, size, area) of parts with points
         self.total_area = 0.0
         for inst in instances:
             x0, y0, x1, y1 = inst.bounds()
-            grid = np.meshgrid(np.linspace(x0, x1, self._GRID), np.linspace(y0, y1, self._GRID))
-            grid_x, grid_y = grid[0].ravel(), grid[1].ravel()
-            mask = np.logical_or.reduce([shape.contains(grid_x, grid_y) for shape in inst.shapes])
+            xs, ys = _linspace(x0, x1, n), _linspace(y0, y1, n)
+            rows = [reduce(operator.or_, row) for row in zip(*(shape.row_masks(xs, ys) for shape in inst.shapes))]
+            inside = sum(row << (n * i) for i, row in enumerate(rows))
             area = inst.area()
-            count = int(mask.sum())
-            if count:
-                self.parts.append((((1 << count) - 1) << len(xs), count, area))
-                xs += grid_x[mask].tolist()
-                ys += grid_y[mask].tolist()
+            if inside:
+                base = n * n * len(self.parts)
+                self.parts.append((inside << base, inside.bit_count(), area))
+                x_slots += [(x, column << (base + j)) for j, x in enumerate(xs)]
+                y_slots += [(y, ((1 << n) - 1) << (base + n * i)) for i, y in enumerate(ys)]
             self.total_area += area
-        self.x_values, self.x_below = self._below(xs)
-        self.y_values, self.y_below = self._below(ys)
+        self.x_values, self.x_below = self._below(x_slots)
+        self.y_values, self.y_below = self._below(y_slots)
 
     @staticmethod
-    def _below(coords: list[float]) -> tuple[list[float], list[int]]:
-        # below[i]: the points under the i-th distinct value, then all points.
-        # Each part's points lie on a small grid, so few values are distinct.
-        values = sorted(set(coords))
-        below = np.array(coords) < np.array(values + [math.inf])[:, np.newaxis]
-        rows = np.packbits(below, axis=1, bitorder="little")
-        return values, [int.from_bytes(row.tobytes(), "little") for row in rows]
+    def _below(slots: list[tuple[float, int]]) -> tuple[list[float], list[int]]:
+        # below[i]: the slots under the i-th distinct value, then all slots.
+        values = sorted({c for c, _ in slots})
+        rank = {v: i for i, v in enumerate(values)}
+        at = [0] * (len(values) + 1)  # at[i + 1]: the slots at the i-th value
+        for c, mask in slots:
+            at[rank[c] + 1] |= mask
+        return values, list(accumulate(at, operator.or_))
 
     def coverage(self, rects: Sequence[Rect]) -> float:
         xv, xb, yv, yb = self.x_values, self.x_below, self.y_values, self.y_below
@@ -335,32 +362,23 @@ class _CoverageProbe:
         return covered / self.total_area
 
 
-def _sample_rects(rng: random.Random, bike: Rect, coverage_target: float, count: int, n: int) -> list[Rect]:
+def _sample_rects(rng: random.Random, bike: Rect, coverage_target: float, count: int) -> list[Rect]:
     # Occluders model roadside obstacles (vehicles, walls, poles): blocks
     # standing on the ground that hide the bicycle from one side, at least
     # as tall as the bicycle. Free-floating rectangles would instead mostly
     # exercise the estimator's known blind spot (occlusion that leaves the
     # bbox extents unchanged), which is not what road occlusion looks like.
-    # Each rect draws width, centre, top, as uniform(a, b) = a + (b - a) * random().
     bx0, by0, bx1, by1 = bike
     bw, bh = bx1 - bx0, by1 - by0
-    draws = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3)
-    lo, hi = bx0 - 0.15 * bw, bx1 + 0.15 * bw
-    w = bw * (0.10 + 0.95 * coverage_target) * (0.5 + (1.4 - 0.5) * draws[:, 0]) / math.sqrt(max(count, 1))
-    cx = lo + (hi - lo) * draws[:, 1]
-    top = by1 - bh * (0.9 + (1.35 - 0.9) * draws[:, 2])
-    x0 = np.clip(cx - w / 2.0, 0.0, CANVAS_SIZE - 1.0)
-    x1 = np.clip(cx + w / 2.0, x0 + 1.0, float(CANVAS_SIZE))
-    y0 = np.clip(top, 0.0, CANVAS_SIZE - 1.0)
-    return [(a, b, c, float(CANVAS_SIZE)) for a, b, c in zip(x0.tolist(), y0.tolist(), x1.tolist())]
-
-
-def _occluder_sets(rng: random.Random, bike: Rect, coverage_target: float, count: int) -> Iterator[list[Rect]]:
-    # Drawn a batch of sets at a time; draws past the last set used change no scene.
-    for first in range(0, _MAX_SAMPLING_ATTEMPTS, _SAMPLING_BATCH):
-        sets = min(_SAMPLING_BATCH, _MAX_SAMPLING_ATTEMPTS - first)
-        rects = _sample_rects(rng, bike, coverage_target, count, sets * count)
-        yield from (rects[i:i + count] for i in range(0, len(rects), count))
+    rects = []
+    for _ in range(count):
+        w = bw * (0.10 + 0.95 * coverage_target) * rng.uniform(0.5, 1.4) / math.sqrt(max(count, 1))
+        cx = rng.uniform(bx0 - 0.15 * bw, bx1 + 0.15 * bw)
+        top = by1 - bh * rng.uniform(0.9, 1.35)
+        x0 = min(max(cx - w / 2.0, 0.0), CANVAS_SIZE - 1.0)
+        x1 = min(max(cx + w / 2.0, x0 + 1.0), float(CANVAS_SIZE))
+        rects.append((x0, min(max(top, 0.0), CANVAS_SIZE - 1.0), x1, float(CANVAS_SIZE)))
+    return rects
 
 
 def generate_scene(
@@ -380,7 +398,7 @@ def generate_scene(
         raise ValueError("occluder_count must be non-negative")
     if not 0.0 <= coverage_target <= 1.0:
         raise ValueError(f"coverage_target must be in [0, 1], got {coverage_target}")
-    template = template or BicycleTemplate()
+    template = template or _DEFAULT_TEMPLATE
     rng = random.Random(seed)
 
     length = template.total_length()
@@ -399,11 +417,11 @@ def generate_scene(
     bike = base.bicycle_bounds()
     best_rects: list[Rect] | None = None
     best_gap = math.inf
-    for rects in _occluder_sets(rng, bike, coverage_target, occluder_count):
+    for _ in range(_MAX_SAMPLING_ATTEMPTS):
+        rects = _sample_rects(rng, bike, coverage_target, occluder_count)
         gap = abs(probe.coverage(rects) - coverage_target)
         if gap < best_gap:
-            best_gap = gap
-            best_rects = rects
+            best_gap, best_rects = gap, rects
         if best_gap <= _COVERAGE_TOLERANCE:
             break
     assert best_rects is not None

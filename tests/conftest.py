@@ -112,6 +112,8 @@ def random_convex_vertices(rng: random.Random, center=(0.0, 0.0), spread=1.0, n_
 def mc_points_in_polygon(vertices, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Crossing-number containment, written independently of the package."""
     inside = np.zeros(xs.shape, dtype=bool)
+    x_at = np.empty(xs.shape)
+    left = np.empty(xs.shape, dtype=bool)
     n = len(vertices)
     j = n - 1
     for i in range(n):
@@ -119,8 +121,12 @@ def mc_points_in_polygon(vertices, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
         xj, yj = vertices[j]
         if yi != yj:
             crosses = (yi > ys) != (yj > ys)
-            x_at = (xj - xi) * (ys - yi) / (yj - yi) + xi
-            inside ^= crosses & (xs < x_at)
+            # x_at = (xj - xi) * (ys - yi) / (yj - yi) + xi, op for op, in reused buffers.
+            np.subtract(ys, yi, out=x_at)
+            x_at *= xj - xi
+            x_at /= yj - yi
+            x_at += xi
+            inside ^= crosses & np.less(xs, x_at, out=left)
         j = i
     return inside
 

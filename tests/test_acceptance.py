@@ -150,7 +150,7 @@ def test_criterion_4_monotonicity():
     for case in range(60):
         scene = generate_scene(7000 + case, 0, 0.0)
         bike = scene.bicycle_bounds()
-        rects = [_sample_rects(rng, bike, rng.uniform(0.1, 0.6), 1, 1)[0] for _ in range(3)]
+        rects = [_sample_rects(rng, bike, rng.uniform(0.1, 0.6), 1)[0] for _ in range(3)]
         previous = ground_truth(scene).occlusion_pct
         for k in range(1, 4):
             current = ground_truth(replace(scene, occluders=tuple(rects[:k]))).occlusion_pct

@@ -254,6 +254,32 @@ class TestCalibrate:
         assert code == EXIT_INPUT
         assert "labels need columns" in err
 
+    @pytest.mark.parametrize(
+        "text, where, what",
+        [
+            ("width,height,fraction\n10,10\n", "line 2, column fraction", "got None"),
+            ("width,height,fraction\n100,90,1.0\nabc,10,1\n", "line 3, column width", "got 'abc'"),
+            ("width,height,fraction\nnan,10,1\n", "line 2, column width", "got 'nan'"),
+            ("width,height,fraction\n10,-inf,1\n", "line 2, column height", "got '-inf'"),
+            ("x_min,y_min,x_max,y_max,fraction\n0,0,10,\n", "line 2, column y_max", "got ''"),
+            ("width,height,fraction\n0,10,1\n", "line 2", "positive width and height"),
+        ],
+        ids=["short-row", "not-a-number", "nan", "infinite", "empty-cell", "zero-width"],
+    )
+    def test_bad_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, text, where, what):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text, encoding="utf-8")
+        code, _, err = run_main(capsys, "calibrate", str(labels))
+        assert code == EXIT_INPUT
+        assert f"{labels}, {where}" in err and what in err and "internal error" not in err
+
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("width,height,fraction\n1,1,1\n2," + "9" * 200_000 + ",1\n", encoding="utf-8")
+        code, _, err = run_main(capsys, "calibrate", str(labels))
+        assert code == EXIT_INPUT
+        assert f"{labels}: field larger than field limit" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -265,6 +291,17 @@ class TestEntryPoint:
         )
         assert result.returncode == EXIT_OK
         assert "100.0,0.0,low_or_none" in result.stdout
+
+    def test_runtime_loads_no_numpy(self):
+        # The package is stdlib-only; numpy is a test dependency.
+        code = (
+            "import sys, occlusion_meter, occlusion_meter.cli\n"
+            "occlusion_meter.estimator_error(occlusion_meter.generate_scene(1, 3, 0.4))\n"
+            "print('numpy' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 # JSON values of every type, with numbers at the edges: non-finite floats,
@@ -321,6 +358,18 @@ _config = _or_junk(
 )
 
 
+# Label CSVs: a known or junk header, then rows of number-like, junk or missing cells.
+_cell = st.one_of(
+    st.floats(0, 200).map(str),
+    st.sampled_from(["1.0", "0.7", "0.5", "0.4", "0", "-1", "nan", "inf", "1e999", "", " 7 ", "1_0", "0x1"]),
+    st.text(max_size=4),
+)
+_labels = st.tuples(
+    st.sampled_from(["width,height,fraction", "x_min,y_min,x_max,y_max,fraction", "fraction,width", ""]),
+    st.lists(st.lists(_cell, max_size=6).map(",".join), max_size=6),
+).map(lambda t: "\n".join([t[0], *t[1]]) + "\n")
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -355,4 +404,12 @@ class TestInputContractFuzz:
         path = fuzz_dir / "synth_config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         code, err = _exit_code(["synth", "--scenes", "1", "--seed", "3", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_INPUT), err
+
+    @given(labels=_labels)
+    @settings(max_examples=150, deadline=None)
+    def test_calibrate_exits_0_or_2(self, fuzz_dir, labels):
+        path = fuzz_dir / "labels.csv"
+        path.write_text(labels, encoding="utf-8")
+        code, err = _exit_code(["calibrate", str(path), "--grid-step", "0.1"])
         assert code in (EXIT_OK, EXIT_INPUT), err

@@ -12,7 +12,6 @@ from occlusion_meter.geometry import (
     Polygon,
     circle_polygon,
     clip,
-    points_in_convex,
     rect_polygon,
     visible_area,
     _clip_half_plane,
@@ -26,6 +25,7 @@ from conftest import (
     mc_visible_area,
     random_convex_vertices,
 )
+from occlusion_meter.synthetic import Triangle
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -367,12 +367,16 @@ class TestCirclePolygon:
 
 class TestContainmentHelpers:
     def test_agree_on_convex_shapes(self):
+        # Triangle row masks (the scene sampler's containment) against crossing numbers.
         rng = random.Random(13)
-        poly = ConvexPolygon(random_convex_vertices(rng, spread=2.0))
         npr = np.random.default_rng(0)
-        xs = npr.uniform(-3, 3, 20_000)
-        ys = npr.uniform(-3, 3, 20_000)
-        general = mc_points_in_polygon(poly.vertices, xs, ys)
-        convex = points_in_convex(poly, xs, ys)
-        # Boundary points may differ by the half-plane closure; interiors agree.
-        assert (general != convex).sum() <= 5
+        for _ in range(5):
+            triangle = Triangle(*random_convex_vertices(rng, spread=2.0, n_points=3))
+            xs = npr.uniform(-3, 3, 141)
+            ys = npr.uniform(-3, 3, 142)
+            masks = triangle.row_masks(xs.tolist(), ys.tolist())
+            convex = np.array([[bool(m >> j & 1) for j in range(xs.size)] for m in masks])
+            grid_x, grid_y = np.meshgrid(xs, ys)
+            general = mc_points_in_polygon(triangle.polygon().vertices, grid_x, grid_y)
+            # Boundary points may differ by the half-plane closure; interiors agree.
+            assert (general != convex).sum() <= 5

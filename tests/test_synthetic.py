@@ -14,15 +14,18 @@ from occlusion_meter.synthetic import (
     CANVAS_SIZE,
     WHEEL_SEGMENTS,
     BicycleTemplate,
+    Circle,
     PartInstance,
     RectShape,
     Scene,
+    Triangle,
     estimator_error,
     generate_scene,
     ground_truth,
     run_batch,
     simulate_detections,
     _CoverageProbe,
+    _linspace,
     _sample_rects,
     _visible_bbox,
 )
@@ -46,6 +49,24 @@ _HALF_RECTS = st.tuples(_HALF_COORDS, _HALF_COORDS).map(lambda t: (t[0][0], t[1]
 
 def isolated_scene(occluders=()):
     return Scene(template=ISOLATED, scale=300.0, origin=(50.0, 600.0), occluders=tuple(occluders), seed=0)
+
+
+def np_contains(shape, xs, ys):
+    """Closed containment of the points (xs, ys) in a scene shape, over numpy arrays."""
+    if isinstance(shape, Circle):
+        return (xs - shape.cx) ** 2 + (ys - shape.cy) ** 2 <= shape.radius**2
+    if isinstance(shape, Triangle):
+        inside = np.ones(xs.shape, dtype=bool)
+        vs = shape.polygon().vertices  # counter-clockwise
+        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+            inside &= (bx - ax) * (ys - ay) >= (by - ay) * (xs - ax)
+        return inside
+    return (xs >= shape.x_min) & (xs <= shape.x_max) & (ys >= shape.y_min) & (ys <= shape.y_max)
+
+
+def expand_row_masks(masks, width):
+    """Row masks as a boolean array of shape (len(masks), width)."""
+    return np.array([[bool(m >> j & 1) for j in range(width)] for m in masks], dtype=bool).reshape(len(masks), width)
 
 
 class TestBicycleTemplate:
@@ -159,7 +180,7 @@ class TestGroundTruth:
         rng = random.Random(4)
         scene = generate_scene(13, 0, 0.0)
         bike = scene.bicycle_bounds()
-        rects = tuple(_sample_rects(rng, bike, 0.3, 5, 5))
+        rects = tuple(_sample_rects(rng, bike, 0.3, 5))
         crowded = replace(scene, occluders=rects)
         occluders = [poly.vertices for poly in crowded.occluder_polygons()]
         truth = ground_truth(crowded)
@@ -178,7 +199,7 @@ class TestGroundTruth:
         for case in range(25):
             scene = generate_scene(400 + case, 0, 0.0)
             bike = scene.bicycle_bounds()
-            rects = [_sample_rects(rng, bike, rng.uniform(0.1, 0.5), 1, 1)[0] for _ in range(3)]
+            rects = [_sample_rects(rng, bike, rng.uniform(0.1, 0.5), 1)[0] for _ in range(3)]
             previous = ground_truth(scene).occlusion_pct
             for k in range(1, 4):
                 current = ground_truth(replace(scene, occluders=tuple(rects[:k]))).occlusion_pct
@@ -292,7 +313,7 @@ class TestEstimatorError:
         for i in range(120):
             target = rng.uniform(0.1, 0.7)
             scene = generate_scene(3000 + i, 1, target)
-            extra = _sample_rects(random.Random(9000 + i), scene.bicycle_bounds(), rng.uniform(0.1, 0.6), 1, 1)[0]
+            extra = _sample_rects(random.Random(9000 + i), scene.bicycle_bounds(), rng.uniform(0.1, 0.6), 1)[0]
             bigger = replace(scene, occluders=scene.occluders + (extra,))
             before = estimator_error(scene)
             after = estimator_error(bigger)
@@ -324,7 +345,7 @@ class TestRunBatch:
 
 
 class TestLoopReferences:
-    """The vectorized oracle helpers against the plain loops they replaced, bit for bit."""
+    """The oracle's sampling helpers against independent numpy and plain-loop references, bit for bit."""
 
     @staticmethod
     def reference_rect(rng, bike, coverage_target, count):
@@ -347,7 +368,7 @@ class TestLoopReferences:
         grid_y = grid_y.ravel()
         mask = np.zeros(grid_x.shape, dtype=bool)
         for shape in inst.shapes:
-            mask |= shape.contains(grid_x, grid_y)
+            mask |= np_contains(shape, grid_x, grid_y)
         return grid_x[mask], grid_y[mask]
 
     def reference_coverage(self, instances, rects):
@@ -372,7 +393,7 @@ class TestLoopReferences:
         grid_y = grid_y.ravel()
         mask = np.zeros(grid_x.shape, dtype=bool)
         for shape in inst.shapes:
-            mask |= shape.contains(grid_x, grid_y)
+            mask |= np_contains(shape, grid_x, grid_y)
         for rx0, ry0, rx1, ry1 in occluders:
             mask &= ~((grid_x >= rx0) & (grid_x <= rx1) & (grid_y >= ry0) & (grid_y <= ry1))
         if not mask.any():
@@ -391,7 +412,32 @@ class TestLoopReferences:
             target, count = 0.02 * seed, 1 + seed % 8
             rng = random.Random(seed)
             expected = [self.reference_rect(rng, bike, target, count) for _ in range(3 * count)]
-            assert _sample_rects(random.Random(seed), bike, target, count, 3 * count) == expected
+            sampler = random.Random(seed)
+            assert [r for _ in range(3) for r in _sample_rects(sampler, bike, target, count)] == expected
+
+    def test_linspace_matches_numpy(self):
+        rng = random.Random(10)
+        cases = [(0.0, 1.0, 24), (-3.5, 2.25, 2), (5.0, 5.0, 24), (640.0, 0.1, 7)]
+        cases += [(rng.uniform(-700, 700), rng.uniform(-700, 700), rng.randint(2, 60)) for _ in range(500)]
+        for a, b, n in cases:
+            assert _linspace(a, b, n) == np.linspace(a, b, n).tolist()
+
+    def test_row_masks_match_numpy_containment(self):
+        rng = random.Random(14)
+        for seed in range(30):
+            for inst in generate_scene(seed, 0, 0.0).part_instances():
+                x0, y0, x1, y1 = inst.bounds()
+                # The probe's grid, then one through shape vertices (a wheel's first 8), where ties decide.
+                grids = [(_linspace(x0, x1, 24), _linspace(y0, y1, 24))]
+                corners = [p for shape in inst.shapes for p in shape.polygon().vertices[:8]]
+                xs = sorted({p[0] for p in corners} | {rng.uniform(x0, x1) for _ in range(20)})
+                ys = sorted({p[1] for p in corners} | {rng.uniform(y0, y1) for _ in range(20)})
+                grids.append((xs, ys))
+                for xs, ys in grids:
+                    grid_x, grid_y = np.meshgrid(np.array(xs), np.array(ys))
+                    for shape in inst.shapes:
+                        got = expand_row_masks(shape.row_masks(xs, ys), len(xs))
+                        assert np.array_equal(got, np_contains(shape, grid_x, grid_y))
 
     def test_probe_coverage_matches_point_loop(self):
         rng = random.Random(11)
