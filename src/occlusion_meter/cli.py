@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .classifier import calibrate_thresholds, classify_frame
 from .evaluation import render_confusion, render_summary, summarize
-from .ingest import ParseError, parse_detections, write_reports
+from .ingest import ParseError, load_detections, write_reports
 from .model import BoundingBox, ClassifierConfig, OcclusionMeterError
 from .synthetic import run_batch
 
@@ -44,16 +44,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_file(path: Path, permissive: bool):
-    try:
-        return parse_detections(path.read_bytes(), permissive=permissive)
-    except ParseError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    frame = _parse_file(Path(args.input), args.permissive)
+    frame = load_detections(args.input, permissive=args.permissive)
     reports = classify_frame(frame, config)
     if not reports:
         print(f"warning: no detections above the confidence threshold in {args.input}", file=sys.stderr)
@@ -66,10 +59,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         print(f"warning: no *.json files under {args.dir}", file=sys.stderr)
-    reports = []
+    # Parse every file before scoring any, so one run names every bad file.
+    frames, errors = [], []
     for path in files:
-        frame = _parse_file(path, args.permissive)
-        reports.extend(classify_frame(frame, config))
+        try:
+            frames.append(load_detections(path, permissive=args.permissive))
+        except (ParseError, OSError) as exc:
+            errors.append(exc)
+    if errors:
+        print("\n".join(f"error: {exc}" for exc in errors), file=sys.stderr)
+        return EXIT_INPUT
+    reports = [report for frame in frames for report in classify_frame(frame, config)]
     if args.format == "json":
         payload = {
             "reports": [r.to_dict() for r in reports],

@@ -221,7 +221,12 @@ def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Poi
     return pieces
 
 
+def pieces_area(part: Polygon, pieces: Iterable[list[Point]]) -> float:
+    """The shoelace sum of ``pieces`` of ``part`` (say, its ``visible_pieces``), capped at the part's area."""
+    return min(math.fsum(_piece_area(p) for p in pieces), part.area())
+
+
 def visible_area(part: Polygon, occluders: Sequence[Polygon]) -> float:
-    """Area of ``part`` not covered by the occluders: the shoelace sum of its ``visible_pieces``, capped."""
-    return min(math.fsum(_piece_area(p) for p in visible_pieces(part, occluders)), part.area())
+    """Area of ``part`` not covered by the occluders: the ``pieces_area`` of its ``visible_pieces``."""
+    return pieces_area(part, visible_pieces(part, occluders))
 

@@ -142,11 +142,9 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
     Raises:
         ParseError: naming the offending path inside the document.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
+        data = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(data, Mapping):
         raise ParseError("top level must be an object")
@@ -188,8 +186,12 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
 
 
 def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionFrame:
-    """Read and parse a detector-output JSON file."""
-    return parse_detections(Path(path).read_bytes(), permissive=permissive)
+    """Read and parse a detector-output JSON file; a ParseError names the file first."""
+    path = Path(path)
+    try:
+        return parse_detections(path.read_bytes(), permissive=permissive)
+    except ParseError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
 
 
 def reports_to_csv(reports: Sequence[VisibilityReport]) -> str:

@@ -25,13 +25,13 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
 from .classifier import classify_frame, occlusion_band
-from .geometry import ConvexPolygon, circle_polygon, rect_polygon, visible_area, visible_pieces
+from .geometry import ConvexPolygon, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
     BoundingBox,
     ClassifierConfig,
@@ -71,9 +71,6 @@ class Circle:
         r2 = self.radius**2
         return [sum(1 << j for j, dx in enumerate(dxs) if dx + dy <= r2) for dy in dys]
 
-    def bounds(self) -> Rect:
-        return (self.cx - self.radius, self.cy - self.radius, self.cx + self.radius, self.cy + self.radius)
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -93,11 +90,6 @@ class Triangle:
             masks = [m & sum(1 << j for j, r in enumerate(rights) if left >= r) for m, left in zip(masks, lefts)]
         return masks
 
-    def bounds(self) -> Rect:
-        xs = (self.a[0], self.b[0], self.c[0])
-        ys = (self.a[1], self.b[1], self.c[1])
-        return (min(xs), min(ys), max(xs), max(ys))
-
 
 @dataclass(frozen=True)
 class RectShape:
@@ -112,9 +104,6 @@ class RectShape:
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
         columns = sum(1 << j for j, x in enumerate(xs) if self.x_min <= x <= self.x_max)
         return [columns if self.y_min <= y <= self.y_max else 0 for y in ys]
-
-    def bounds(self) -> Rect:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
 Shape = Circle | Triangle | RectShape
@@ -133,11 +122,16 @@ class PartInstance:
     part: PartClass
     shapes: tuple[Shape, ...]
 
+    @cached_property
+    def polygons(self) -> tuple[ConvexPolygon, ...]:
+        # Built once per instance; WHEEL_SEGMENTS % 4 == 0, so a wheel's bounds are its circle's, exactly.
+        return tuple(s.polygon() for s in self.shapes)
+
     def area(self) -> float:
-        return sum(s.polygon().area() for s in self.shapes)
+        return sum(p.area() for p in self.polygons)
 
     def bounds(self) -> Rect:
-        return _enclosing(s.bounds() for s in self.shapes)
+        return _enclosing(p.bounds() for p in self.polygons)
 
 
 # Default silhouette, in meters with the ground at y = 0 and the rear axle
@@ -413,8 +407,9 @@ def generate_scene(
     if occluder_count == 0:
         return base
 
-    probe = _CoverageProbe(base.part_instances())
-    bike = base.bicycle_bounds()
+    parts = base.part_instances()
+    probe = _CoverageProbe(parts)
+    bike = _enclosing(inst.bounds() for inst in parts)
     best_rects: list[Rect] | None = None
     best_gap = math.inf
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
@@ -430,11 +425,26 @@ def generate_scene(
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact per-part visible fractions and the resulting occlusion level."""
+    """Exact per-part visible fractions and visible bboxes (None when hidden), and the resulting occlusion level."""
 
     fractions: Mapping[str, float]
     visibility_pct: float
     occlusion_pct: float
+    bboxes: Mapping[str, BoundingBox | None] = field(repr=False)
+
+
+def _visible_part(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> tuple[float, BoundingBox | None]:
+    # The visible area and the bounds of the exact visible region, from one
+    # visible_pieces pass over each of the part's polygons.
+    visible, points = 0.0, []
+    for poly in inst.polygons:
+        pieces = visible_pieces(poly, occluders)
+        visible += pieces_area(poly, pieces)
+        points += [p for piece in pieces for p in piece]
+    if not points:
+        return visible, None
+    xs, ys = zip(*points)
+    return visible, BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(CANVAS_SIZE, CANVAS_SIZE)
 
 
 def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> GroundTruth:
@@ -446,29 +456,15 @@ def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> Gr
     model = area_model or SurfaceAreaModel()
     occluders = scene.occluder_polygons()
     fractions: dict[str, float] = {}
+    bboxes: dict[str, BoundingBox | None] = {}
     visibility = 0.0
     for inst in scene.part_instances():
-        area = 0.0
-        visible = 0.0
-        for shape in inst.shapes:
-            poly = shape.polygon()
-            area += poly.area()
-            visible += visible_area(poly, occluders)
-        fraction = min(max(visible / area, 0.0), 1.0)
+        visible, bboxes[inst.slot] = _visible_part(inst, occluders)
+        fraction = min(max(visible / inst.area(), 0.0), 1.0)
         fractions[inst.slot] = fraction
         visibility += model.share_pct(inst.part) * fraction
     visibility = min(max(visibility, 0.0), 100.0)
-    return GroundTruth(fractions=fractions, visibility_pct=visibility, occlusion_pct=100.0 - visibility)
-
-
-def _visible_bbox(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> BoundingBox | None:
-    # The bounds of the exact visible region: the pieces of each shape that
-    # survive the occluders, as ground_truth measures them.
-    points = [p for shape in inst.shapes for piece in visible_pieces(shape.polygon(), occluders) for p in piece]
-    if not points:
-        return None
-    xs, ys = zip(*points)
-    return BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(CANVAS_SIZE, CANVAS_SIZE)
+    return GroundTruth(fractions=fractions, visibility_pct=visibility, occlusion_pct=100.0 - visibility, bboxes=bboxes)
 
 
 def simulate_detections(
@@ -481,18 +477,15 @@ def simulate_detections(
 
     A part whose exact visible fraction reaches the detectability floor
     emits one detection: bbox of the visible region, confidence
-    0.5 + 0.5 * fraction. Parts below the floor emit nothing.
+    0.5 + 0.5 * fraction. Parts below the floor emit nothing. Both values
+    are read from the ground truth; no geometry is computed here.
     """
     config = config or ClassifierConfig()
     truth = truth or ground_truth(scene, config.area_model)
-    occluders = scene.occluder_polygons()
     detections = []
     for inst in scene.part_instances():
-        fraction = truth.fractions[inst.slot]
-        if fraction < config.detectability_floor:
-            continue
-        bbox = _visible_bbox(inst, occluders)
-        if bbox is None or not bbox.is_valid():
+        fraction, bbox = truth.fractions[inst.slot], truth.bboxes[inst.slot]
+        if fraction < config.detectability_floor or bbox is None or not bbox.is_valid():
             continue
         confidence = min(1.0, 0.5 + 0.5 * fraction)
         detections.append(PartDetection(part=inst.part, bbox=bbox, confidence=confidence))

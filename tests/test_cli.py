@@ -153,6 +153,25 @@ class TestBatch:
         assert len(data["reports"]) == 9
         assert data["summary"]["visibility_mean"] == pytest.approx(74.59, abs=0.005)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_names_every_bad_file(self, tmp_path, capsys, fmt):
+        (tmp_path / "a.json").write_bytes((FIXTURE_DIR / "scenario_a.json").read_bytes())
+        (tmp_path / "b.json").write_text('{"image": 5}', encoding="utf-8")
+        (tmp_path / "c.json").write_text("not json", encoding="utf-8")
+        (tmp_path / "d.json").write_bytes(b"\xff{")
+        (tmp_path / "e.json").mkdir()
+        code, out, err = run_main(capsys, "batch", str(tmp_path), "--format", fmt)
+        assert code == EXIT_INPUT
+        assert out == ""
+        *parsed, unreadable = err.splitlines()
+        assert parsed == [
+            f"error: {tmp_path / 'b.json'}: image: expected an object",
+            f"error: {tmp_path / 'c.json'}: malformed JSON: Expecting value: line 1 column 1 (char 0)",
+            f"error: {tmp_path / 'd.json'}: malformed JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+        ]
+        assert unreadable.startswith("error: ") and str(tmp_path / "e.json") in unreadable
+
 
 class TestSynth:
     def test_single_clean_scene(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compressed_visible_bbox, mc_visible_area
+from occlusion_meter import geometry, synthetic
 from occlusion_meter.geometry import rect_polygon
 from occlusion_meter.model import BoundingBox, ClassifierConfig, OcclusionBand, PartClass
 from occlusion_meter.synthetic import (
@@ -15,6 +17,7 @@ from occlusion_meter.synthetic import (
     WHEEL_SEGMENTS,
     BicycleTemplate,
     Circle,
+    GroundTruth,
     PartInstance,
     RectShape,
     Scene,
@@ -27,7 +30,7 @@ from occlusion_meter.synthetic import (
     _CoverageProbe,
     _linspace,
     _sample_rects,
-    _visible_bbox,
+    _visible_part,
 )
 
 # Template whose rear-wheel bounding box intersects no other part: the frame
@@ -124,6 +127,14 @@ class TestSceneGeneration:
     def test_different_seed_differs(self):
         assert generate_scene(1, 1, 0.4) != generate_scene(2, 1, 0.4)
 
+    def test_wheel_bounds_are_circle_bounds(self):
+        # The 128-gon's extreme vertices sit at cos/sin = +-1 exactly.
+        for seed in range(2000):
+            for inst in generate_scene(seed, 0, 0.0).part_instances():
+                if inst.part is PartClass.WHEEL:
+                    c = inst.shapes[0]
+                    assert inst.bounds() == (c.cx - c.radius, c.cy - c.radius, c.cx + c.radius, c.cy + c.radius)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             generate_scene(0, -1, 0.5)
@@ -193,6 +204,27 @@ class TestGroundTruth:
                 for shape in inst.shapes
             )
             assert truth.fractions[inst.slot] == pytest.approx(visible / inst.area(), abs=0.02)
+
+    def test_bboxes_are_the_emitted_detection_bboxes(self):
+        floor = ClassifierConfig().detectability_floor
+        scenes = [isolated_scene([(48.0, 388.0, 262.0, 602.0)]), isolated_scene([(0.0, 0.0, 640.0, 640.0)])]
+        # A 0.002 px strip: the rear wheel and the frame show far less than 1 px² but are not hidden.
+        scenes.append(isolated_scene([(0.0, 0.0, 154.999, 640.0), (155.001, 0.0, 640.0, 640.0)]))
+        scenes += [generate_scene(seed, 1 + seed % 6, (seed % 9) / 10.0) for seed in range(60)]
+        hidden = 0
+        for scene in scenes:
+            truth = ground_truth(scene)
+            assert set(truth.bboxes) == set(truth.fractions)
+            for slot, bbox in truth.bboxes.items():
+                assert (bbox is None) == (truth.fractions[slot] == 0.0)
+                hidden += bbox is None
+            detected = [truth.bboxes[i.slot] for i in scene.part_instances() if truth.fractions[i.slot] >= floor]
+            assert [d.bbox for d in simulate_detections(scene, truth=truth).detections] == detected
+        assert hidden >= 5
+
+    def test_bboxes_are_required(self):
+        with pytest.raises(TypeError):
+            GroundTruth(fractions={}, visibility_pct=100.0, occlusion_pct=0.0)
 
     def test_occlusion_monotone_as_occluders_added(self):
         rng = random.Random(17)
@@ -270,7 +302,7 @@ class TestSimulateDetections:
             if all(a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1] for b in disjoint):
                 disjoint.append(a)
         inst = PartInstance("handlebar", PartClass.HANDLEBAR, tuple(RectShape(*r) for r in disjoint))
-        got = _visible_bbox(inst, [rect_polygon(*r) for r in occluder_rects])
+        got = _visible_part(inst, [rect_polygon(*r) for r in occluder_rects])[1]
         expected = compressed_visible_bbox(disjoint, occluder_rects)
         if expected is None:
             assert got is None
@@ -297,6 +329,28 @@ class TestEstimatorError:
         assert result.estimated_occlusion == pytest.approx(41.0, abs=1e-9)
         assert result.exact_occlusion == pytest.approx(41.0, abs=1e-9)
         assert result.estimated_band == result.exact_band == OcclusionBand.HEAVY.value
+
+    def test_one_geometry_pass_per_scene(self, monkeypatch):
+        # ground_truth builds each polygon and subtracts the occluders from it
+        # once; simulate_detections only reads the results.
+        scene = generate_scene(21, 2, 0.45)
+        shapes = [shape for inst in scene.part_instances() for shape in inst.shapes]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        pieces = counted("visible_pieces", geometry.visible_pieces)
+        monkeypatch.setattr(geometry, "visible_pieces", pieces)
+        monkeypatch.setattr(synthetic, "visible_pieces", pieces)
+        monkeypatch.setattr(synthetic, "circle_polygon", counted("circle_polygon", synthetic.circle_polygon))
+        estimator_error(scene)
+        assert len(shapes) == 5
+        assert calls == {"visible_pieces": len(shapes), "circle_polygon": 2}
 
     def test_everything_hidden_both_full_occlusion(self):
         scene = isolated_scene([(0.0, 0.0, 640.0, 640.0)])
@@ -473,7 +527,7 @@ class TestLoopReferences:
                     raster = self.reference_visible_bbox(inst, occluders)
                     if raster is None:
                         continue
-                    exact = _visible_bbox(inst, [rect_polygon(*r) for r in occluders])
+                    exact = _visible_part(inst, [rect_polygon(*r) for r in occluders])[1]
                     assert exact is not None
                     # Undo the raster's half-cell padding to get its outermost visible centres.
                     assert exact.x_min - tol <= raster.x_min + dx / 2.0
