@@ -48,7 +48,7 @@ def _bounds(points: Sequence[Point]) -> tuple[float, float, float, float]:
 class Polygon:
     """Simple polygon with nonzero area, stored counter-clockwise."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_area")
 
     def __init__(self, vertices: Iterable[Point]):
         vs = tuple((float(x), float(y)) for x, y in vertices)
@@ -59,10 +59,13 @@ class Polygon:
             raise ValueError("degenerate polygon: zero area")
         if doubled < 0:
             vs = tuple(reversed(vs))
+            # Summed in the stored order, so area() is the shoelace area of ``vertices`` bit for bit.
+            doubled = _signed_area2(vs)
         self.vertices = vs
+        self._area = abs(doubled) / 2.0
 
     def area(self) -> float:
-        return abs(_signed_area2(self.vertices)) / 2.0
+        return self._area
 
     def bounds(self) -> tuple[float, float, float, float]:
         return _bounds(self.vertices)
@@ -87,10 +90,12 @@ class ConvexPolygon(Polygon):
             e1x, e1y = bx - ax, by - ay
             e2x, e2y = cx - bx, cy - by
             cross = e1x * e2y - e1y * e2x
-            norm = math.hypot(e1x, e1y) * math.hypot(e2x, e2y)
-            # After CCW normalization every turn must be left or collinear.
-            if norm > 0 and cross < -EDGE_EPS * norm:
-                raise ValueError("polygon is not convex")
+            # After CCW normalization every turn must be left or collinear. The
+            # bound is never positive, so only a right turn needs the edge norms.
+            if cross < 0:
+                norm = math.hypot(e1x, e1y) * math.hypot(e2x, e2y)
+                if norm > 0 and cross < -EDGE_EPS * norm:
+                    raise ValueError("polygon is not convex")
 
 
 def rect_polygon(x_min: float, y_min: float, x_max: float, y_max: float) -> ConvexPolygon:

@@ -54,7 +54,16 @@ PointM = tuple[float, float]
 TriangleM = tuple[PointM, PointM, PointM]
 
 # ``row_masks(xs, ys)``: per y in ys, an int whose bit j is set when (xs[j], y) lies in
-# the shape. Column and row terms are computed once, so a point costs one add or compare.
+# the shape, for xs in any order. A convex shape meets a row in one run of the sorted xs,
+# and each shape's column term is monotone along them under IEEE rounding, so a row's run
+# is found by bisection on the pointwise expressions.
+
+
+def _sorted_columns(xs: Sequence[float]) -> tuple[list[float], list[int]]:
+    # The xs in ascending order, and prefix bitsets over that order: the columns at
+    # sorted positions [lo, hi) are bits[hi] ^ bits[lo].
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    return [xs[j] for j in order], list(accumulate((1 << j for j in order), initial=0))
 
 
 @dataclass(frozen=True)
@@ -67,9 +76,19 @@ class Circle:
         return circle_polygon((self.cx, self.cy), self.radius, WHEEL_SEGMENTS)
 
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        dxs, dys = [(x - self.cx) * (x - self.cx) for x in xs], [(y - self.cy) * (y - self.cy) for y in ys]
+        # (x - cx)² falls up to cx and rises after it; each half is bisected outward from cx.
+        sorted_xs, bits = _sorted_columns(xs)
+        mid = bisect_left(sorted_xs, self.cx)
+        dxs = [(x - self.cx) * (x - self.cx) for x in sorted_xs]
+        falling, rising = dxs[:mid][::-1], dxs[mid:]
         r2 = self.radius**2
-        return [sum(1 << j for j, dx in enumerate(dxs) if dx + dy <= r2) for dy in dys]
+        masks = []
+        for y in ys:
+            dy = (y - self.cy) * (y - self.cy)
+            lo = mid - bisect_right(falling, r2, key=lambda dx: dx + dy)
+            hi = mid + bisect_right(rising, r2, key=lambda dx: dx + dy)
+            masks.append(bits[hi] ^ bits[lo])
+        return masks
 
 
 @dataclass(frozen=True)
@@ -82,13 +101,20 @@ class Triangle:
         return ConvexPolygon([self.a, self.b, self.c])
 
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        # Left of every counter-clockwise edge a->b, closed.
+        # Left of every counter-clockwise edge a->b, closed: left >= right, where right
+        # rises along the sorted xs when by >= ay (a prefix holds) and falls otherwise (a suffix).
+        sorted_xs, bits = _sorted_columns(xs)
+        n = len(xs)
+        los, his = [0] * len(ys), [n] * len(ys)
         vs = self.polygon().vertices
-        masks = [(1 << len(xs)) - 1] * len(ys)
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
-            rights, lefts = [(by - ay) * (x - ax) for x in xs], [(bx - ax) * (y - ay) for y in ys]
-            masks = [m & sum(1 << j for j, r in enumerate(rights) if left >= r) for m, left in zip(masks, lefts)]
-        return masks
+            rights, lefts = [(by - ay) * (x - ax) for x in sorted_xs], [(bx - ax) * (y - ay) for y in ys]
+            if by - ay >= 0:
+                his = [min(hi, bisect_right(rights, left)) for hi, left in zip(his, lefts)]
+            else:
+                rights.reverse()
+                los = [max(lo, n - bisect_right(rights, left)) for lo, left in zip(los, lefts)]
+        return [bits[hi] ^ bits[lo] if lo < hi else 0 for lo, hi in zip(los, his)]
 
 
 @dataclass(frozen=True)
@@ -260,13 +286,17 @@ class Scene:
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         object.__setattr__(self, "canvas", tuple(int(c) for c in self.canvas))
 
-    def part_instances(self) -> list[PartInstance]:
+    @cached_property
+    def _parts(self) -> tuple[PartInstance, ...]:
+        # Placed once per scene (in __dict__, not a field), so the parts' polygons are built once.
         ox, oy = self.origin
-        placed = []
-        for inst in self.template.part_instances():
-            shapes = tuple(_place_shape(s, self.scale, ox, oy) for s in inst.shapes)
-            placed.append(PartInstance(inst.slot, inst.part, shapes))
-        return placed
+        return tuple(
+            PartInstance(inst.slot, inst.part, tuple(_place_shape(s, self.scale, ox, oy) for s in inst.shapes))
+            for inst in self.template.part_instances()
+        )
+
+    def part_instances(self) -> list[PartInstance]:
+        return list(self._parts)
 
     def occluder_polygons(self) -> list[ConvexPolygon]:
         return [rect_polygon(*rect) for rect in self.occluders]
@@ -420,7 +450,9 @@ def generate_scene(
         if best_gap <= _COVERAGE_TOLERANCE:
             break
     assert best_rects is not None
-    return Scene(template=template, scale=scale, origin=(ox, oy), occluders=tuple(best_rects), seed=seed)
+    scene = Scene(template=template, scale=scale, origin=(ox, oy), occluders=tuple(best_rects), seed=seed)
+    object.__setattr__(scene, "_parts", base._parts)  # same template, scale and origin: the same placement
+    return scene
 
 
 @dataclass(frozen=True)

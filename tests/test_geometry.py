@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from occlusion_meter.geometry import (
+    EDGE_EPS,
     _MIN_AREA,
     ConvexPolygon,
     Polygon,
@@ -88,6 +89,29 @@ class TestPolygon:
 
     def test_convex_accepts_collinear_vertex(self):
         ConvexPolygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+
+    @pytest.mark.parametrize("size", [1e-3, 1.0, 640.0])
+    def test_convex_right_turn_tolerance(self, size):
+        # A right turn at (size, 0) of depth d: not convex once d passes EDGE_EPS * size, in either input order.
+        def pentagon(depth):
+            return [(0.0, 0.0), (size, 0.0), (2 * size, -depth), (2 * size, 2 * size), (0.0, 2 * size)]
+
+        for vertices in (pentagon(1.01 * EDGE_EPS * size), pentagon(1.01 * EDGE_EPS * size)[::-1]):
+            with pytest.raises(ValueError, match="not convex"):
+                ConvexPolygon(vertices)
+        for vertices in (pentagon(0.99 * EDGE_EPS * size), pentagon(0.99 * EDGE_EPS * size)[::-1]):
+            ConvexPolygon(vertices)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_coord, st.floats(-50, 50, allow_nan=False)), min_size=3, max_size=10))
+    def test_area_is_shoelace_of_stored_vertices(self, points):
+        # The area recorded at construction, for input in either orientation.
+        for vertices in (points, points[::-1]):
+            try:
+                poly = Polygon(vertices)
+            except ValueError:
+                assume(False)
+            assert poly.area() == abs(_signed_area2(poly.vertices)) / 2.0
 
 
 class TestPolygonArea:

@@ -1,11 +1,13 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import compressed_visible_bbox, mc_visible_area
@@ -70,6 +72,74 @@ def np_contains(shape, xs, ys):
 def expand_row_masks(masks, width):
     """Row masks as a boolean array of shape (len(masks), width)."""
     return np.array([[bool(m >> j & 1) for j in range(width)] for m in masks], dtype=bool).reshape(len(masks), width)
+
+
+def pointwise_row_masks(shape, xs, ys):
+    """Circle or triangle row masks point by point: bit j of row i tests (xs[j], ys[i]) on its own."""
+    if isinstance(shape, Circle):
+        r2 = shape.radius**2
+
+        def inside(x, y):
+            return (x - shape.cx) * (x - shape.cx) + (y - shape.cy) * (y - shape.cy) <= r2
+
+    else:
+        vs = shape.polygon().vertices  # counter-clockwise
+        edges = list(zip(vs, vs[1:] + vs[:1]))
+
+        def inside(x, y):
+            return all((bx - ax) * (y - ay) >= (by - ay) * (x - ax) for (ax, ay), (bx, by) in edges)
+
+    return [sum(1 << j for j, x in enumerate(xs) if inside(x, y)) for y in ys]
+
+
+# Quarter-integer coordinates make ties (points on edges, on the circle, on vertices) common;
+# signed zeros give horizontal edges whose dy is 0.0 or -0.0.
+_GRID_COORD = st.integers(-24, 24).map(lambda v: v / 4.0)
+_MASK_COORD = st.one_of(_GRID_COORD, st.floats(-8.0, 8.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _mask_axis(draw, anchors):
+    # Free coordinates, the shape's own coordinates, and repeats, in a random order.
+    values = draw(st.lists(_MASK_COORD, max_size=12)) + list(anchors)
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=4))
+    return draw(st.permutations(values))
+
+
+@st.composite
+def _mask_triangles(draw):
+    points = draw(st.lists(st.tuples(_MASK_COORD, _MASK_COORD), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        # A horizontal edge; at y = 0 its ends may carry different signed zeros.
+        (ax, ay), (bx, _) = points[:2]
+        points[1] = (bx, draw(st.sampled_from([0.0, -0.0])) if ay == 0 else ay)
+    triangle = Triangle(*draw(st.permutations(points)))  # either orientation
+    try:
+        triangle.polygon()
+    except ValueError:
+        assume(False)
+    return triangle
+
+
+_mask_circles = st.builds(
+    Circle, _MASK_COORD, _MASK_COORD, st.one_of(st.integers(1, 24).map(lambda v: v / 4.0), st.floats(0.01, 8.0))
+)
+
+
+def oracle_digest(seeds, occluder_counts):
+    """SHA-256 over each scene's JSON, its ground truth (fractions, levels, bboxes) and its detector frame."""
+    digest = hashlib.sha256()
+    for count in occluder_counts:
+        for seed in seeds:
+            scene = generate_scene(seed, count, (seed % 9) / 10)
+            truth = ground_truth(scene)
+            frame = simulate_detections(scene, truth=truth)
+            bboxes = {slot: bbox and asdict(bbox) for slot, bbox in truth.bboxes.items()}
+            record = [scene.to_json(), truth.fractions, truth.visibility_pct, truth.occlusion_pct]
+            record += [bboxes, asdict(frame)]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 class TestBicycleTemplate:
@@ -163,6 +233,12 @@ class TestSceneGeneration:
             x0, y0, x1, y1 = scene.bicycle_bounds()
             assert 0 <= x0 < x1 <= 640
             assert 0 <= y0 < y1 <= 640
+
+    def test_oracle_bytes_pinned(self):
+        # Recorded before the oracle's performance work: a speed-up must leave every byte here as it was.
+        assert oracle_digest(range(50), (0, 1, 3, 6)) == (
+            "145bb32de466423651faad3caf0bce84521aefc9fdc61359fce0060936f4f3d6"
+        )
 
 
 class TestGroundTruth:
@@ -330,11 +406,8 @@ class TestEstimatorError:
         assert result.exact_occlusion == pytest.approx(41.0, abs=1e-9)
         assert result.estimated_band == result.exact_band == OcclusionBand.HEAVY.value
 
-    def test_one_geometry_pass_per_scene(self, monkeypatch):
-        # ground_truth builds each polygon and subtracts the occluders from it
-        # once; simulate_detections only reads the results.
-        scene = generate_scene(21, 2, 0.45)
-        shapes = [shape for inst in scene.part_instances() for shape in inst.shapes]
+    @staticmethod
+    def count_geometry_calls(monkeypatch) -> Counter:
         calls = Counter()
 
         def counted(name, fn):
@@ -348,9 +421,24 @@ class TestEstimatorError:
         monkeypatch.setattr(geometry, "visible_pieces", pieces)
         monkeypatch.setattr(synthetic, "visible_pieces", pieces)
         monkeypatch.setattr(synthetic, "circle_polygon", counted("circle_polygon", synthetic.circle_polygon))
+        return calls
+
+    def test_one_geometry_pass_per_scene(self, monkeypatch):
+        # The scene keeps the parts placed for generate_scene's coverage probe, so
+        # ground_truth clips the same polygons, each once; simulate_detections only
+        # reads the results.
+        calls = self.count_geometry_calls(monkeypatch)
+        scene = generate_scene(21, 2, 0.45)
         estimator_error(scene)
+        shapes = [shape for inst in scene.part_instances() for shape in inst.shapes]
         assert len(shapes) == 5
         assert calls == {"visible_pieces": len(shapes), "circle_polygon": 2}
+
+    def test_scene_from_json_builds_its_polygons_once(self, monkeypatch):
+        scene = Scene.from_json(generate_scene(21, 2, 0.45).to_json())
+        calls = self.count_geometry_calls(monkeypatch)
+        estimator_error(scene)
+        assert calls == {"visible_pieces": 5, "circle_polygon": 2}
 
     def test_everything_hidden_both_full_occlusion(self):
         scene = isolated_scene([(0.0, 0.0, 640.0, 640.0)])
@@ -492,6 +580,23 @@ class TestLoopReferences:
                     for shape in inst.shapes:
                         got = expand_row_masks(shape.row_masks(xs, ys), len(xs))
                         assert np.array_equal(got, np_contains(shape, grid_x, grid_y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), triangle=_mask_triangles())
+    def test_triangle_row_masks_match_pointwise(self, data, triangle):
+        xs = data.draw(_mask_axis([p[0] for p in (triangle.a, triangle.b, triangle.c)]))
+        ys = data.draw(_mask_axis([p[1] for p in (triangle.a, triangle.b, triangle.c)]))
+        assert triangle.row_masks(xs, ys) == pointwise_row_masks(triangle, xs, ys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), circle=_mask_circles)
+    def test_circle_row_masks_match_pointwise(self, data, circle):
+        # Anchors: the centre, the extremes and the first 128-gon vertices, on the circle up to rounding.
+        corners = circle.polygon().vertices[:4]
+        c, r = circle, circle.radius
+        xs = data.draw(_mask_axis([c.cx, c.cx - r, c.cx + r] + [p[0] for p in corners]))
+        ys = data.draw(_mask_axis([c.cy, c.cy - r, c.cy + r] + [p[1] for p in corners]))
+        assert circle.row_masks(xs, ys) == pointwise_row_masks(circle, xs, ys)
 
     def test_probe_coverage_matches_point_loop(self):
         rng = random.Random(11)
