@@ -278,7 +278,8 @@ def calibrate_thresholds(
                     continue
                 triple = (grid[i1], grid[i2], grid[i3])
                 m = margin(*triple)
-                if m > best_margin or (m == best_margin and best is not None and triple < best):
+                # Triples come in ascending order, so equal margins keep the smallest.
+                if m > best_margin:
                     best = triple
                     best_margin = m
     assert best is not None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -112,9 +114,11 @@ def render_visibility_table(reports: Sequence[VisibilityReport], format: str = "
     """Per-bicycle visibility table, as markdown or CSV."""
     rows = _table_rows(reports)
     if format == "csv":
-        lines = [",".join(_TABLE_COLUMNS)]
-        lines.extend(",".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(_TABLE_COLUMNS)
+        writer.writerows(rows)
+        return buffer.getvalue()
     if format == "markdown":
         header = "| " + " | ".join(_TABLE_COLUMNS) + " |"
         divider = "|" + "|".join(" --- " for _ in _TABLE_COLUMNS) + "|"

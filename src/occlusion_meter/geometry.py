@@ -6,7 +6,8 @@ construction. There is deliberately no general polygon boolean engine here:
 the one difference operation, part minus convex occluders, is exact for any
 number of occluders. Each occluder is peeled off a list of disjoint pieces by
 Sutherland-Hodgman half-plane splits (Sutherland & Hodgman, CACM 1974), and
-the visible area is the shoelace sum of what is left.
+the visible area is the shoelace sum of what is left. ``clip`` keeps the
+inside of the same split.
 """
 
 from __future__ import annotations
@@ -159,32 +160,24 @@ def clip(subject: Polygon, window: Polygon) -> list[Polygon]:
     disjoint pieces; those edges cancel in the shoelace sum, so all area
     computations on the result stay exact.
     """
-    win = _as_convex(window)
-    points = list(subject.vertices)
-    n = len(win.vertices)
-    for i in range(n):
-        if not points:
-            break
-        points = _clip_half_plane(points, win.vertices[i], win.vertices[(i + 1) % n])
-    if len(points) >= 3 and abs(_signed_area2(points)) / 2.0 > _MIN_AREA:
-        return [Polygon(points)]
-    return []
+    inside = _split(list(subject.vertices), _as_convex(window))[0]
+    return [Polygon(inside)] if inside else []
 
 
 def _piece_area(points: list[Point]) -> float:
     return _signed_area2(points) / 2.0
 
 
-def _subtract_convex(piece: list[Point], occluder: ConvexPolygon) -> list[list[Point]]:
-    # Peel the part of ``piece`` outside each occluder edge off as a finished
-    # piece and carry the inside on; what survives every edge is covered. A
-    # piece that misses the occluder (bbox first) comes back unsplit, so
-    # untouched areas stay bit-identical.
+def _split(piece: list[Point], convex: ConvexPolygon) -> tuple[list[Point], list[list[Point]]]:
+    # (inside, outside pieces): peel the part of ``piece`` outside each edge
+    # off as a finished piece and carry the inside on. A miss (bbox first, or
+    # an inside at or below _MIN_AREA) is ([], [piece]), so untouched areas
+    # stay bit-identical; the shortcuts never change a vertex of the inside.
     x0, y0, x1, y1 = _bounds(piece)
-    ox0, oy0, ox1, oy1 = occluder.bounds()
+    ox0, oy0, ox1, oy1 = convex.bounds()
     if x0 > ox1 or ox0 > x1 or y0 > oy1 or oy0 > y1:
-        return [piece]
-    vs = occluder.vertices
+        return [], [piece]
+    vs = convex.vertices
     n = len(vs)
     finished: list[list[Point]] = []
     inside = piece
@@ -200,15 +193,15 @@ def _subtract_convex(piece: list[Point], occluder: ConvexPolygon) -> list[list[P
         if min(sides) > sure:
             continue
         if max(sides) < -sure:
-            return [piece]
+            return [], [piece]
         outside = _clip_half_plane(inside, b, a)
         inside = _clip_half_plane(inside, a, b)
         if _piece_area(inside) <= _MIN_AREA:
-            return [piece]
+            return [], [piece]
         if _piece_area(outside) > _MIN_AREA:
             finished.append(outside)
         x0, y0, x1, y1 = _bounds(inside)
-    return finished
+    return inside, finished
 
 
 def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Point]]:
@@ -222,7 +215,7 @@ def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Poi
     pieces = [list(part.vertices)]
     for occ in occluders:
         occ = _as_convex(occ)
-        pieces = [kept for piece in pieces for kept in _subtract_convex(piece, occ)]
+        pieces = [kept for piece in pieces for kept in _split(piece, occ)[1]]
     return pieces
 
 

@@ -43,7 +43,6 @@ from .model import (
     VisibilityReport,
     json_number,
     validate_detection,
-    validate_frame,
 )
 
 logger = logging.getLogger(__name__)
@@ -136,8 +135,9 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
 
     With ``permissive=True``, predictions with unknown labels or invalid
     geometry are dropped with a logged warning instead of failing the whole
-    document; structural problems (malformed JSON, missing fields, numbers
-    out of range) always raise.
+    document; without it, one ParseError at ``predictions`` names every
+    invalid prediction. Structural problems (malformed JSON, missing fields,
+    numbers out of range) always raise at the first one.
 
     Raises:
         ParseError: naming the offending path inside the document.
@@ -163,26 +163,21 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
         raise ParseError("expected an array", "predictions")
 
     width, height = int(width), int(height)
-    detections = []
+    detections, errors = [], []
     for index, pred in enumerate(predictions):
         det = _parse_prediction(pred, index, permissive)
         if det is None:
             continue
-        if permissive:
-            try:
-                det = validate_detection(det, index, width, height)
-            except FrameValidationError as exc:
+        try:
+            detections.append(validate_detection(det, index, width, height))
+        except FrameValidationError as exc:
+            if permissive:
                 logger.warning("dropping predictions[%d]: %s", index, "; ".join(exc.errors))
-                continue
-        detections.append(det)
-
-    frame = DetectionFrame(image_id=image_id, image_width=width, image_height=height, detections=tuple(detections))
-    if permissive:
-        return frame
-    try:
-        return validate_frame(frame)
-    except FrameValidationError as exc:
-        raise ParseError("; ".join(exc.errors), "predictions") from None
+            else:
+                errors += exc.errors
+    if errors:
+        raise ParseError("; ".join(errors), "predictions")
+    return DetectionFrame(image_id=image_id, image_width=width, image_height=height, detections=tuple(detections))
 
 
 def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionFrame:

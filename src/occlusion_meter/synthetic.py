@@ -72,6 +72,7 @@ class Circle:
     cy: float
     radius: float
 
+    @cached_property
     def polygon(self) -> ConvexPolygon:
         return circle_polygon((self.cx, self.cy), self.radius, WHEEL_SEGMENTS)
 
@@ -97,6 +98,7 @@ class Triangle:
     b: PointM
     c: PointM
 
+    @cached_property
     def polygon(self) -> ConvexPolygon:
         return ConvexPolygon([self.a, self.b, self.c])
 
@@ -106,7 +108,7 @@ class Triangle:
         sorted_xs, bits = _sorted_columns(xs)
         n = len(xs)
         los, his = [0] * len(ys), [n] * len(ys)
-        vs = self.polygon().vertices
+        vs = self.polygon.vertices
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
             rights, lefts = [(by - ay) * (x - ax) for x in sorted_xs], [(bx - ax) * (y - ay) for y in ys]
             if by - ay >= 0:
@@ -124,6 +126,7 @@ class RectShape:
     x_max: float
     y_max: float
 
+    @cached_property
     def polygon(self) -> ConvexPolygon:
         return rect_polygon(self.x_min, self.y_min, self.x_max, self.y_max)
 
@@ -148,10 +151,10 @@ class PartInstance:
     part: PartClass
     shapes: tuple[Shape, ...]
 
-    @cached_property
+    @property
     def polygons(self) -> tuple[ConvexPolygon, ...]:
-        # Built once per instance; WHEEL_SEGMENTS % 4 == 0, so a wheel's bounds are its circle's, exactly.
-        return tuple(s.polygon() for s in self.shapes)
+        # Each shape builds its polygon once; WHEEL_SEGMENTS % 4 == 0, so a wheel's bounds are its circle's, exactly.
+        return tuple(s.polygon for s in self.shapes)
 
     def area(self) -> float:
         return sum(p.area() for p in self.polygons)
@@ -559,13 +562,11 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
     frame = simulate_detections(scene, config, truth=truth)
     reports = classify_frame(frame, config)
     estimated = reports[0].occlusion_pct if reports else 100.0
-    estimated = min(max(estimated, 0.0), 100.0)
-    exact = min(max(truth.occlusion_pct, 0.0), 100.0)
     return EstimatorError(
         estimated_occlusion=estimated,
-        exact_occlusion=exact,
+        exact_occlusion=truth.occlusion_pct,
         estimated_band=occlusion_band(estimated).value,
-        exact_band=occlusion_band(exact).value,
+        exact_band=occlusion_band(truth.occlusion_pct).value,
     )
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -149,6 +151,14 @@ class TestRenderers:
         lines = text.splitlines()
         assert lines[0] == "Scenario,Wheel (%),Frame (%),Handlebar (%),Bicycle Visibility (%),Bicycle Occlusion (%)"
         assert "scenario_e,82.0,17.0,1.0,100.0,0.0" in lines
+
+    def test_csv_quotes_ids_with_commas_and_quotes(self):
+        # An image id is any string from detector JSON.
+        reports = [report(62.5, image_id='cam 3, frame "7"'), report(40.0, image_id="a,b", index=1)]
+        rows = list(csv.reader(io.StringIO(render_visibility_table(reports, "csv"))))
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == ['cam 3, frame "7"', "a,b#1"]
+        assert rows[1][4] == "62.5"
 
     def test_unknown_format_rejected(self, scenario_reports):
         with pytest.raises(ValueError, match="unknown table format"):

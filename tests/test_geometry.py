@@ -218,6 +218,58 @@ class TestClip:
             checked += 1
 
 
+    def test_matches_reference_clip_bit_for_bit(self):
+        # clip shares visible_pieces' convex split; its bbox and sure-side
+        # shortcuts must leave the vertices of the old half-plane loop as they were.
+        rng = random.Random(59)
+        cases = 0
+        for _ in range(300):
+            spread = rng.choice([1.0, 50.0, 300.0])
+            center = (rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+            window_vertices = random_convex_vertices(rng, center=center, spread=spread)
+            subjects = [Polygon(random_convex_vertices(rng, spread=spread))]
+            x0, x1, x2 = sorted(rng.uniform(-spread, spread) for _ in range(3))
+            y0, y1, y2 = sorted(rng.uniform(-spread, spread) for _ in range(3))
+            subjects.append(_l_part(((x0, x1, x2), (y0, y1, y2)))[0])
+            repeated = list(window_vertices)
+            k = rng.randrange(len(repeated))
+            repeated.insert(k, repeated[k])
+            contained = [(center[0] + (x - center[0]) / 8, center[1] + (y - center[1]) / 8) for x, y in window_vertices]
+            shift = 10 * spread
+            windows = [
+                ConvexPolygon(window_vertices),
+                ConvexPolygon(repeated),
+                ConvexPolygon(contained),
+                ConvexPolygon([(x + shift, y) for x, y in window_vertices]),
+                rect_polygon(-4 * spread, -4 * spread, 4 * spread, 4 * spread),
+            ]
+            for subject in subjects:
+                for window in windows:
+                    expected = reference_clip(subject, window)
+                    got = clip(subject, window)
+                    assert [p.vertices for p in got] == [p.vertices for p in expected]
+                    cases += bool(got)
+        assert cases > 1000
+
+    def test_window_missing_the_bbox_by_less_than_edge_eps_is_empty(self):
+        # A bbox miss is a miss, however close: no sliver within EDGE_EPS of the window edge.
+        subject = rect_polygon(1000.0 + 1.2e-10, -900.0, 2000.0, 900.0)
+        assert clip(subject, rect_polygon(0.0, -1000.0, 1000.0, 1000.0)) == []
+
+
+def reference_clip(subject, window):
+    """The half-plane loop clip ran before it shared visible_pieces' split."""
+    points = list(subject.vertices)
+    n = len(window.vertices)
+    for i in range(n):
+        if not points:
+            break
+        points = _clip_half_plane(points, window.vertices[i], window.vertices[(i + 1) % n])
+    if len(points) >= 3 and abs(_signed_area2(points)) / 2.0 > _MIN_AREA:
+        return [Polygon(points)]
+    return []
+
+
 class TestVisibleArea:
     def test_no_occluders(self):
         part = Polygon(UNIT_SQUARE)
@@ -401,6 +453,6 @@ class TestContainmentHelpers:
             masks = triangle.row_masks(xs.tolist(), ys.tolist())
             convex = np.array([[bool(m >> j & 1) for j in range(xs.size)] for m in masks])
             grid_x, grid_y = np.meshgrid(xs, ys)
-            general = mc_points_in_polygon(triangle.polygon().vertices, grid_x, grid_y)
+            general = mc_points_in_polygon(triangle.polygon.vertices, grid_x, grid_y)
             # Boundary points may differ by the half-plane closure; interiors agree.
             assert (general != convex).sum() <= 5

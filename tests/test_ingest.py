@@ -1,10 +1,14 @@
 import json
 import logging
 import math
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import EXPECTED_SCENARIOS
+from conftest import EXPECTED_SCENARIOS, random_frame
 from occlusion_meter.classifier import classify_frame
 from occlusion_meter.ingest import (
     CSV_HEADER,
@@ -16,6 +20,15 @@ from occlusion_meter.ingest import (
     write_reports,
 )
 from occlusion_meter.model import PartClass
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
 
 
 def doc(predictions, image_id="img", width=640, height=640):
@@ -126,6 +139,44 @@ class TestParseDetections:
         pred = dict(WHEEL, points=[{"x": 0, "y": 0}, {"x": 50, "y": 0}, {"x": 50, "y": 50}])
         with pytest.raises(ParseError, match="polygon extent disagrees"):
             parse_detections(doc([pred]))
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["keep", "zero_width", "right_of", "above"]), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_strict_names_exactly_what_permissive_drops(self, seed, kinds):
+        frame = random_frame(random.Random(seed))
+        preds = []
+        for i, det in enumerate(frame.detections):
+            x0, y0, x1, y1 = det.bbox.x_min, det.bbox.y_min, det.bbox.x_max, det.bbox.y_max
+            kind = kinds[i % len(kinds)]
+            if kind == "zero_width":
+                x1 = x0
+            elif kind == "right_of":  # clamped to zero width
+                x0, x1 = x0 + 700.0, x1 + 700.0
+            elif kind == "above":  # clamped to zero height
+                y0, y1 = y0 - 700.0, y1 - 700.0
+            preds.append({"class": det.part.value, "confidence": det.confidence,
+                          "x_min": x0, "y_min": y0, "x_max": x1, "y_max": y1})
+        document = doc(preds)
+
+        logger = logging.getLogger("occlusion_meter.ingest")
+        handler = _Collect()
+        logger.addHandler(handler)
+        try:
+            permissive = parse_detections(document, permissive=True)
+        finally:
+            logger.removeHandler(handler)
+        dropped = [re.fullmatch(r"dropping predictions\[(\d+)\]: (.*)", m).groups() for m in handler.messages]
+
+        try:
+            strict = parse_detections(document)
+        except ParseError as exc:
+            assert dropped
+            assert exc.path == "predictions"
+            assert str(exc) == "predictions: " + "; ".join(reason for _, reason in dropped)
+            assert all(reason.endswith(f"at index {i}") for i, reason in dropped)
+        else:
+            assert not dropped
+            assert strict == permissive
 
     @pytest.mark.parametrize("permissive", [False, True])
     @pytest.mark.parametrize(

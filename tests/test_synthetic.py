@@ -62,7 +62,7 @@ def np_contains(shape, xs, ys):
         return (xs - shape.cx) ** 2 + (ys - shape.cy) ** 2 <= shape.radius**2
     if isinstance(shape, Triangle):
         inside = np.ones(xs.shape, dtype=bool)
-        vs = shape.polygon().vertices  # counter-clockwise
+        vs = shape.polygon.vertices  # counter-clockwise
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
             inside &= (bx - ax) * (ys - ay) >= (by - ay) * (xs - ax)
         return inside
@@ -83,7 +83,7 @@ def pointwise_row_masks(shape, xs, ys):
             return (x - shape.cx) * (x - shape.cx) + (y - shape.cy) * (y - shape.cy) <= r2
 
     else:
-        vs = shape.polygon().vertices  # counter-clockwise
+        vs = shape.polygon.vertices  # counter-clockwise
         edges = list(zip(vs, vs[1:] + vs[:1]))
 
         def inside(x, y):
@@ -116,7 +116,7 @@ def _mask_triangles(draw):
         points[1] = (bx, draw(st.sampled_from([0.0, -0.0])) if ay == 0 else ay)
     triangle = Triangle(*draw(st.permutations(points)))  # either orientation
     try:
-        triangle.polygon()
+        triangle.polygon
     except ValueError:
         assume(False)
     return triangle
@@ -258,7 +258,7 @@ class TestGroundTruth:
         for index, inst in enumerate(scene.part_instances()):
             area = inst.area()
             visible = sum(
-                mc_visible_area(shape.polygon().vertices, occluders, 200_000, seed=index)
+                mc_visible_area(shape.polygon.vertices, occluders, 200_000, seed=index)
                 for shape in inst.shapes
             )
             assert truth.fractions[inst.slot] == pytest.approx(visible / area, abs=0.02)
@@ -276,7 +276,7 @@ class TestGroundTruth:
         assert 0.0 <= truth.occlusion_pct <= 100.0
         for index, inst in enumerate(crowded.part_instances()):
             visible = sum(
-                mc_visible_area(shape.polygon().vertices, occluders, 200_000, seed=index)
+                mc_visible_area(shape.polygon.vertices, occluders, 200_000, seed=index)
                 for shape in inst.shapes
             )
             assert truth.fractions[inst.slot] == pytest.approx(visible / inst.area(), abs=0.02)
@@ -434,6 +434,21 @@ class TestEstimatorError:
         assert len(shapes) == 5
         assert calls == {"visible_pieces": len(shapes), "circle_polygon": 2}
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 6])
+    def test_each_polygon_built_once_per_scene(self, monkeypatch, k):
+        # Five part polygons (two wheels, two frame triangles, the handlebar),
+        # shared by the coverage probe and ground_truth, plus one per occluder.
+        calls = Counter()
+        init = geometry.ConvexPolygon.__init__
+
+        def counted(self, vertices):
+            calls["ConvexPolygon"] += 1
+            init(self, vertices)
+
+        monkeypatch.setattr(geometry.ConvexPolygon, "__init__", counted)
+        estimator_error(generate_scene(21, k, 0.45))
+        assert calls == {"ConvexPolygon": 5 + k}
+
     def test_scene_from_json_builds_its_polygons_once(self, monkeypatch):
         scene = Scene.from_json(generate_scene(21, 2, 0.45).to_json())
         calls = self.count_geometry_calls(monkeypatch)
@@ -571,7 +586,7 @@ class TestLoopReferences:
                 x0, y0, x1, y1 = inst.bounds()
                 # The probe's grid, then one through shape vertices (a wheel's first 8), where ties decide.
                 grids = [(_linspace(x0, x1, 24), _linspace(y0, y1, 24))]
-                corners = [p for shape in inst.shapes for p in shape.polygon().vertices[:8]]
+                corners = [p for shape in inst.shapes for p in shape.polygon.vertices[:8]]
                 xs = sorted({p[0] for p in corners} | {rng.uniform(x0, x1) for _ in range(20)})
                 ys = sorted({p[1] for p in corners} | {rng.uniform(y0, y1) for _ in range(20)})
                 grids.append((xs, ys))
@@ -592,7 +607,7 @@ class TestLoopReferences:
     @given(data=st.data(), circle=_mask_circles)
     def test_circle_row_masks_match_pointwise(self, data, circle):
         # Anchors: the centre, the extremes and the first 128-gon vertices, on the circle up to rounding.
-        corners = circle.polygon().vertices[:4]
+        corners = circle.polygon.vertices[:4]
         c, r = circle, circle.radius
         xs = data.draw(_mask_axis([c.cx, c.cx - r, c.cx + r] + [p[0] for p in corners]))
         ys = data.draw(_mask_axis([c.cy, c.cy - r, c.cy + r] + [p[1] for p in corners]))
