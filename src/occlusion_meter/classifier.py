@@ -85,6 +85,13 @@ def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGro
     detected). Each cluster is then pruned to ``model.PART_LIMITS`` detections
     per class. Groups are ordered by their first detection index.
 
+    The pairs are found by a sweep over the boxes sorted by ``x_min``: each
+    box is tested with ``gap_to`` against the later boxes only until one
+    starts more than the limit to the right of its ``x_max``. Every box
+    after that one starts at least as far right, and a gap is at least its
+    x separation, so no skipped pair could join; for finite boxes (as
+    ``validate_frame`` makes them) the groups are the all-pairs ones.
+
     This assignment step is a heuristic for multi-bicycle frames; the
     visibility scoring itself is independent of it.
     """
@@ -103,9 +110,15 @@ def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGro
             i = parent[i]
         return i
 
-    for i in range(len(detections)):
-        for j in range(i + 1, len(detections)):
-            if detections[i].bbox.gap_to(detections[j].bbox) <= limit:
+    boxes = [d.bbox for d in detections]
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].x_min)
+    for k, i in enumerate(order):
+        bi = boxes[i]
+        for j in order[k + 1 :]:
+            bj = boxes[j]
+            if bj.x_min - bi.x_max > limit:
+                break
+            if bi.gap_to(bj) <= limit:
                 parent[find(i)] = find(j)
 
     clusters: dict[int, list[tuple[int, PartDetection]]] = {}
@@ -165,13 +178,16 @@ def classify_bicycle(
 def classify_frame(frame: DetectionFrame, config: ClassifierConfig | None = None) -> list[VisibilityReport]:
     """Classify every bicycle instance in a detection frame.
 
-    The frame is validated and normalized first, detections below the
-    confidence threshold are dropped, survivors are grouped into bicycle
-    instances, and each group is classified. Reports come back ordered by
-    descending visibility, ties broken by bicycle index.
+    A frame that ``validate_frame`` or ``ingest.parse_detections`` returned
+    is already normalized and is used as it is; any other frame is
+    validated and normalized first. Detections below the confidence
+    threshold are dropped, survivors are grouped into bicycle instances,
+    and each group is classified. Reports come back ordered by descending
+    visibility, ties broken by bicycle index.
     """
     config = config or ClassifierConfig()
-    frame = validate_frame(frame)
+    if not frame.validated:
+        frame = validate_frame(frame)
     surviving = tuple(d for d in frame.detections if d.confidence >= config.confidence_threshold)
     filtered = replace(frame, detections=surviving)
     groups = group_parts(filtered, config)

@@ -14,8 +14,11 @@ The canonical input document mirrors the common detection-workflow export:
 Prediction boxes are center-based (x, y, width, height). A corner-based
 variant with x_min/y_min/x_max/y_max keys is accepted as well. Coordinates
 are clamped to the image bounds, labels are case-folded and checked against
-the closed part set, and the resulting frame is validated before it is
-returned; parsing therefore never invents or silently mangles detections.
+the closed part set, and each prediction goes through
+``model.validate_detection`` once before the frame is returned; parsing
+therefore never invents or silently mangles detections. The returned frame
+records that it is validated, so ``classify_frame`` scores it without
+checking it again.
 
 Report output comes in two shapes: a CSV table with one-decimal percentages
 for human eyes, and a JSON array with full-precision numbers that
@@ -42,6 +45,7 @@ from .model import (
     UnknownPartLabelError,
     VisibilityReport,
     json_number,
+    mark_validated,
     validate_detection,
 )
 
@@ -177,7 +181,7 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
                 errors += exc.errors
     if errors:
         raise ParseError("; ".join(errors), "predictions")
-    return DetectionFrame(image_id=image_id, image_width=width, image_height=height, detections=tuple(detections))
+    return mark_validated(DetectionFrame(image_id, width, height, tuple(detections)))
 
 
 def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionFrame:

@@ -7,11 +7,15 @@ per-bicycle visibility report, and the classifier configuration.
 
 Detector output arrives from the outside world, so the detection-side types
 (``BoundingBox``, ``PartDetection``, ``DetectionFrame``) are passive records:
-they do not raise on construction. ``validate_frame``, which runs
-``validate_detection`` on each detection, is the single enforcement point
-and reports *every* problem in a frame with the index of the offending
+they do not raise on construction. ``validate_detection`` is the single
+check of one detection. ``validate_frame`` runs it on each detection of a
+frame and reports *every* problem with the index of the offending
 detection, which is far more useful for batch pipelines than failing on
-the first bad field. Configuration types (``SurfaceAreaModel``,
+the first bad field; ``ingest.parse_detections`` runs it once per
+prediction. A frame either of them returns records that it is validated
+(``DetectionFrame.validated``), so the classifier does not check it again;
+any other frame, including one made with ``dataclasses.replace``, is
+checked before it is scored. Configuration types (``SurfaceAreaModel``,
 ``ClassifierConfig``) are built by humans, so they validate eagerly.
 
 All types are immutable after construction and safe to share across workers.
@@ -97,7 +101,7 @@ class BoundingBox:
 
     Center-based detector outputs are converted via :meth:`from_center` at
     ingestion. Validity (strictly positive width and height) is established
-    by ``validate_frame`` so malformed detector output can be reported with
+    by ``validate_detection`` so malformed detector output can be reported with
     per-detection indices instead of failing construction.
     """
 
@@ -163,7 +167,7 @@ class PartDetection:
         polygon: optional instance-segmentation outline in pixels. When
             present it must have at least 3 vertices and its extent must
             agree with ``bbox`` within ``POLYGON_BBOX_TOLERANCE`` per
-            coordinate (checked by ``validate_frame``).
+            coordinate (checked by ``validate_detection``).
     """
 
     part: PartClass
@@ -183,6 +187,16 @@ class DetectionFrame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detections", tuple(self.detections))
+
+    @property
+    def validated(self) -> bool:
+        """Whether ``validate_frame`` or ``ingest.parse_detections`` returned this frame.
+
+        Kept in the instance dict, not in a field, so ``==``, ``repr`` and
+        ``asdict`` ignore it and ``dataclasses.replace`` builds a frame
+        without it.
+        """
+        return self.__dict__.get("_validated", False)
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -224,9 +238,8 @@ class SurfaceAreaModel:
 
     The physical areas (cm^2) document where the percentage shares come
     from; the rounded shares are what the classifier actually uses, because
-    only the rounded values make the per-part contributions sum to exactly
-    100 for a fully visible bicycle (2 wheels + frame + handlebar =
-    41 + 41 + 17 + 1).
+    only the rounded values make the per-part contributions of a fully
+    visible bicycle (2 wheels + frame + handlebar) sum to exactly 100.
     """
 
     wheel_area_cm2: float = 3400.0
@@ -467,7 +480,7 @@ def validate_detection(det: PartDetection, index: int, image_width: float, image
                 [f"polygon extent disagrees with bbox at index {index} (off by {deviation:.2f} px)"]
             )
 
-    return replace(det, part=part, bbox=bbox, polygon=polygon)
+    return PartDetection(part, bbox, det.confidence, polygon)
 
 
 def validate_frame(frame: DetectionFrame) -> DetectionFrame:
@@ -496,4 +509,14 @@ def validate_frame(frame: DetectionFrame) -> DetectionFrame:
             errors.extend(exc.errors)
     if errors:
         raise FrameValidationError(errors)
-    return replace(frame, detections=tuple(normalized))
+    return mark_validated(replace(frame, detections=tuple(normalized)))
+
+
+def mark_validated(frame: DetectionFrame) -> DetectionFrame:
+    """Record on ``frame`` that every detection is ``validate_detection``'s output for its image size.
+
+    Only for the frames ``validate_frame`` and ``ingest.parse_detections``
+    return: the classifier scores a marked frame without checking it.
+    """
+    object.__setattr__(frame, "_validated", True)
+    return frame

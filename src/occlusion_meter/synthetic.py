@@ -159,8 +159,13 @@ class PartInstance:
     def area(self) -> float:
         return sum(p.area() for p in self.polygons)
 
-    def bounds(self) -> Rect:
+    @cached_property
+    def _bounds(self) -> Rect:
         return _enclosing(p.bounds() for p in self.polygons)
+
+    def bounds(self) -> Rect:
+        # Walked once per placed part (a wheel has 128 vertices), though a scene reads it several times.
+        return self._bounds
 
 
 # Default silhouette, in meters with the ground at y = 0 and the rear axle

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import EXPECTED_SCENARIOS, random_frame
 from occlusion_meter.classifier import (
     CalibrationError,
+    _prune_group,
     calibrate_thresholds,
     classify_bicycle,
     classify_frame,
@@ -17,16 +20,19 @@ from occlusion_meter.classifier import (
     part_visibility,
     wheel_visibility_fraction,
 )
+from occlusion_meter.ingest import parse_detections
 from occlusion_meter.model import (
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
+    FrameValidationError,
     OcclusionBand,
     PartClass,
     PartDetection,
 )
 
 CONFIG = ClassifierConfig()
+S = 2.0**996
 
 
 def det(part, x0, y0, w, h, conf=0.9):
@@ -77,6 +83,47 @@ class TestPartVisibility:
         assert part_visibility(det(PartClass.WHEEL, 0, 0, 100, 100), CONFIG) == 41.0
         assert part_visibility(det(PartClass.WHEEL, 0, 0, 100, 50), CONFIG) == pytest.approx(20.5)
         assert part_visibility(det(PartClass.WHEEL, 0, 0, 150, 60), CONFIG) == pytest.approx(16.4)
+
+
+def reference_group_parts(frame, config):
+    """``group_parts`` as the all-pairs loop it replaced: every pair of boxes goes through ``gap_to``."""
+    detections = list(frame.detections)
+    if not detections:
+        return []
+    wheel_diagonals = [d.bbox.diagonal() for d in detections if d.part is PartClass.WHEEL]
+    reference = max(wheel_diagonals) if wheel_diagonals else max(d.bbox.diagonal() for d in detections)
+    limit = config.grouping_distance_factor * reference
+    parent = list(range(len(detections)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(detections)):
+        for j in range(i + 1, len(detections)):
+            if detections[i].bbox.gap_to(detections[j].bbox) <= limit:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i, d in enumerate(detections):
+        clusters.setdefault(find(i), []).append((i, d))
+    return [_prune_group(members) for members in sorted(clusters.values(), key=lambda m: m[0][0])]
+
+
+@st.composite
+def sweep_frames(draw):
+    """Frames on a coarse grid, so boxes touch, share x_min and sit exactly the limit apart; some near 1e300."""
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1, 1e300 / 64, 2.0**-30]))
+    cell = st.integers(0, 40)
+    detections = []
+    for _ in range(draw(st.integers(0, 14))):
+        x0, y0 = draw(cell), draw(cell)
+        w, h = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        part = draw(st.sampled_from(list(PartClass)))
+        conf = draw(st.sampled_from([0.5, 0.7, 0.9]))
+        bbox = BoundingBox(x0 * scale, y0 * scale, (x0 + w) * scale, (y0 + h) * scale)
+        detections.append(PartDetection(part, bbox, conf))
+    return DetectionFrame("sweep", 640, 640, tuple(detections))
 
 
 class TestGroupParts:
@@ -140,6 +187,42 @@ class TestGroupParts:
 
     def test_empty_frame(self):
         assert group_parts(frame_of(), CONFIG) == []
+
+    @pytest.mark.parametrize(
+        "boxes, factor, expected",
+        [
+            # 3-4-5 wheels: diagonal 5, so with factor 1 the limit is exactly 5.
+            ([(0, 0, 3, 4), (8, 0, 11, 4)], 1.0, 1),  # x gap 5 == limit joins
+            ([(0, 0, 3, 4), (6, 8, 9, 12)], 1.0, 1),  # hypot(3, 4) == limit joins
+            ([(0, 0, 3, 4), (8.000000000000002, 0, 11, 4)], 1.0, 2),  # one ulp past the limit
+            ([(0, 0, 3, 4), (3, 0, 6, 4), (6, 0, 9, 4)], 0.0001, 1),  # touching chain
+            ([(5, 0, 8, 4), (5, 100, 8, 104), (5, 50, 8, 54)], 1.0, 3),  # equal x_min, apart in y
+            # Near 1e300: S = 2**996 keeps the 3-4-5 arithmetic exact.
+            ([(S, 0, 4 * S, 4 * S), (9 * S, 0, 12 * S, 4 * S)], 1.0, 1),  # x gap 5S == limit
+            ([(S, 0, 4 * S, 4 * S), (9.5 * S, 0, 12 * S, 4 * S)], 1.0, 2),
+        ],
+    )
+    def test_sweep_edge_cases(self, boxes, factor, expected):
+        frame = frame_of(*(PartDetection(PartClass.WHEEL, BoundingBox(*b), 0.9) for b in boxes))
+        config = ClassifierConfig(grouping_distance_factor=factor)
+        groups = group_parts(frame, config)
+        assert len(groups) == expected
+        assert groups == reference_group_parts(frame, config)
+
+    def test_sweep_tests_only_boxes_within_reach(self, monkeypatch):
+        # Ten 3x4 wheels in a row, 3 px apart; the limit (5) reaches only the next box.
+        calls = []
+        gap_to = BoundingBox.gap_to
+        monkeypatch.setattr(BoundingBox, "gap_to", lambda a, b: calls.append(1) or gap_to(a, b))
+        frame = frame_of(*(det(PartClass.WHEEL, 6 * i, 0, 3, 4) for i in reversed(range(10))))
+        (group,) = group_parts(frame, ClassifierConfig(grouping_distance_factor=1.0))  # one chain
+        assert len(calls) == 9  # of 45 pairs
+
+    @given(sweep_frames(), st.sampled_from([0.25, 1.0, 1.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_all_pairs(self, frame, factor):
+        config = ClassifierConfig(grouping_distance_factor=factor)
+        assert group_parts(frame, config) == reference_group_parts(frame, config)
 
 
 class TestClassifyBicycle:
@@ -249,6 +332,30 @@ class TestClassifyFrame:
         assert reports[0].visibility_pct == pytest.approx(99.0)
         assert reports[1].visibility_pct == pytest.approx(20.5)
         assert reports[0].visibility_pct >= reports[1].visibility_pct
+
+    @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            (BoundingBox(math.nan, 10, 100, 100), "non-finite bbox coordinate at index 1"),
+            (BoundingBox(50, 10, 50, 100), "zero-width bbox at index 1"),
+            (BoundingBox(700, 10, 800, 100), "zero-width bbox at index 1"),  # off canvas: clamps to zero width
+        ],
+        ids=["nan", "zero_width", "off_canvas"],
+    )
+    def test_unvalidated_frames_are_checked(self, bbox, message):
+        good = det(PartClass.WHEEL, 0, 0, 100, 100)
+        bad = PartDetection(PartClass.WHEEL, bbox, 0.9)
+        document = json.dumps({
+            "image": {"id": "img", "width": 640, "height": 640},
+            "predictions": [{"class": "wheel", "confidence": 0.9, "x_min": 0, "y_min": 0, "x_max": 100, "y_max": 100}],
+        })
+        parsed = parse_detections(document)
+        assert parsed.validated
+        for frame in (frame_of(good, bad), dataclasses.replace(parsed, detections=(good, bad))):
+            assert not frame.validated
+            with pytest.raises(FrameValidationError) as info:
+                classify_frame(frame)
+            assert info.value.errors == [message]
 
     def test_reports_carry_image_id(self, scenario_frames):
         for frame in scenario_frames:

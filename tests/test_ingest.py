@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import logging
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,8 @@ from occlusion_meter.ingest import (
     reports_to_json,
     write_reports,
 )
-from occlusion_meter.model import PartClass
+from occlusion_meter import model
+from occlusion_meter.model import PartClass, validate_frame
 
 
 class _Collect(logging.Handler):
@@ -202,6 +206,112 @@ class TestParseDetections:
             visibility, occlusion = EXPECTED_SCENARIOS[frame.image_id]
             assert report.visibility_pct == pytest.approx(visibility, abs=0.05)
             assert report.occlusion_pct == pytest.approx(occlusion, abs=0.05)
+
+
+# How a prediction of random_document is written, and how it is spoiled.
+_KEPT_KINDS = ("corners", "corners", "corners", "center", "polygon", "upper_case", "overhang")
+_SPOILED_KINDS = ("unknown_label", "zero_width", "off_canvas", "bad_polygon", "bad_confidence")
+
+
+def random_document(rng: random.Random, index: int) -> str:
+    """A ``random_frame`` written as a detector document, its boxes shrunk about their centres, some spoiled."""
+    frame = random_frame(rng, max_parts=16, image_id=f"doc-{index}")
+    shrink = rng.choice((1.0, 0.3, 0.1))  # smaller boxes link less, so frames hold more bicycles
+    spoil = rng.choice((0.0, 0.0, 0.05, 0.2))
+    preds = []
+    for det in frame.detections:
+        x0, y0, x1, y1 = det.bbox.x_min, det.bbox.y_min, det.bbox.x_max, det.bbox.y_max
+        dx, dy = (x1 - x0) * (1.0 - shrink) / 2, (y1 - y0) * (1.0 - shrink) / 2
+        x0, y0, x1, y1 = x0 + dx, y0 + dy, x1 - dx, y1 - dy
+        pred = {"class": det.part.value, "confidence": det.confidence}
+        kind = rng.choice(_SPOILED_KINDS if rng.random() < spoil else _KEPT_KINDS)
+        if kind == "center":
+            pred.update(x=(x0 + x1) / 2, y=(y0 + y1) / 2, width=x1 - x0, height=y1 - y0)
+            preds.append(pred)
+            continue
+        if kind == "upper_case":
+            pred["class"] = f" {det.part.value.upper()} "
+        elif kind == "overhang":  # clamped to the canvas
+            x1 += 150.0
+        elif kind == "unknown_label":
+            pred["class"] = "saddle"
+        elif kind == "zero_width":
+            x1 = x0
+        elif kind == "off_canvas":  # clamped to zero width
+            x0, x1 = x0 + 700.0, x1 + 700.0
+        elif kind == "bad_confidence":
+            pred["confidence"] = 1.0 + det.confidence
+        elif kind in ("polygon", "bad_polygon"):
+            off = 0.4 if kind == "polygon" else 3.0
+            pred["points"] = [{"x": x0 + off, "y": y0}, {"x": x1, "y": y0 + off}, {"x": x1 - off, "y": y1}, {"x": x0, "y": y1}]
+        pred.update(x_min=x0, y_min=y0, x_max=x1, y_max=y1)
+        preds.append(pred)
+    return doc(preds, image_id=frame.image_id)
+
+
+def detection_digest(seed: int, count: int) -> tuple[str, Counter]:
+    """SHA-256 of parse -> classify_frame -> write_reports over ``count`` random documents, and what they hit."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    seen = Counter()
+    for index in range(count):
+        document = random_document(rng, index)
+        for permissive in (False, True):
+            try:
+                frame = parse_detections(document, permissive=permissive)
+            except ParseError as exc:
+                seen["rejected", permissive] += 1
+                digest.update(f"error: {exc}\n".encode())
+                continue
+            reports = classify_frame(frame)
+            seen["bicycles", len(reports)] += 1
+            for fmt in ("csv", "json"):
+                digest.update(write_reports(reports, fmt).encode() + b"\0")
+    return digest.hexdigest(), seen
+
+
+def corner_predictions(frame) -> list[dict]:
+    return [{"class": d.part.value, "confidence": d.confidence, "x_min": d.bbox.x_min, "y_min": d.bbox.y_min,
+             "x_max": d.bbox.x_max, "y_max": d.bbox.y_max} for d in frame.detections]
+
+
+class TestDetectionPath:
+    def test_detection_bytes_pinned(self):
+        # Recorded before the detection path's performance work: a speed-up must leave every byte here as it was.
+        digest, seen = detection_digest(20261018, 300)
+        assert seen["rejected", False] > seen["rejected", True] > 0
+        assert all(seen["bicycles", n] for n in range(5))
+        assert digest == "11fe0c6786cc641ff26b76c0abbfb986ea1a9ec3b9d4f9a2780011093bb25ef7"
+
+    def test_parsed_predictions_are_validated_once(self, monkeypatch):
+        calls = []
+        validate_detection = model.validate_detection
+        counted = lambda det, index, width, height: calls.append(index) or validate_detection(det, index, width, height)
+        monkeypatch.setattr(model, "validate_detection", counted)
+        monkeypatch.setattr("occlusion_meter.ingest.validate_detection", counted)
+        kept = 0
+        rng = random.Random(5)
+        for index in range(50):
+            frame = random_frame(rng, image_id=f"once-{index}")
+            preds = corner_predictions(frame) + [{"class": "saddle"}]  # dropped before validation
+            classify_frame(parse_detections(doc(preds), permissive=True))
+            kept += len(frame.detections)
+        assert len(calls) == kept
+        # A frame built in code is still checked, once per detection.
+        frame = random_frame(random.Random(6), image_id="code")
+        calls.clear()
+        classify_frame(frame)
+        assert len(calls) == len(frame.detections)
+
+    def test_validated_mark_is_not_part_of_the_value(self):
+        frame = random_frame(random.Random(7), image_id="mark")
+        checked = validate_frame(frame)
+        parsed = parse_detections(doc(corner_predictions(frame), image_id="mark"))
+        assert parsed.validated and checked.validated and not frame.validated
+        assert parsed == checked == frame
+        assert repr(parsed) == repr(frame)
+        assert dataclasses.asdict(parsed) == dataclasses.asdict(frame)
+        assert not dataclasses.replace(parsed).validated
 
 
 class TestWriteReports:

@@ -449,6 +449,18 @@ class TestEstimatorError:
         estimator_error(generate_scene(21, k, 0.45))
         assert calls == {"ConvexPolygon": 5 + k}
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_part_bounds_walked_once_per_scene(self, monkeypatch, k):
+        # The coverage probe and the bike rect both read each part's bounds; the
+        # five part polygons' vertices are walked once between them.
+        calls = Counter()
+        bounds = geometry.Polygon.bounds
+        monkeypatch.setattr(geometry.Polygon, "bounds", lambda self: calls.update(["bounds"]) or bounds(self))
+        scene = generate_scene(21, k, 0.45)
+        assert calls == {"bounds": 5}
+        scene.bicycle_bounds()
+        assert calls == {"bounds": 5}
+
     def test_scene_from_json_builds_its_polygons_once(self, monkeypatch):
         scene = Scene.from_json(generate_scene(21, 2, 0.45).to_json())
         calls = self.count_geometry_calls(monkeypatch)
