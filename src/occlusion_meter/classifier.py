@@ -79,6 +79,9 @@ def _prune_group(members: list[tuple[int, PartDetection]]) -> PartGroup:
 def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGroup]:
     """Cluster part detections into bicycle instances.
 
+    ``frame`` must be validated (``validate_frame``), so every coordinate is
+    finite; ``classify_frame`` validates it first.
+
     Single-link clustering: two parts join when the gap between their boxes
     is at most ``grouping_distance_factor`` times the largest wheel bbox
     diagonal in the frame (largest diagonal of any part when no wheel was

@@ -15,7 +15,6 @@ from .classifier import calibrate_thresholds, classify_frame
 from .evaluation import render_confusion, render_summary, summarize
 from .ingest import ParseError, load_detections, write_reports
 from .model import BoundingBox, ClassifierConfig, OcclusionMeterError
-from .synthetic import run_batch
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -86,6 +85,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # Only synth runs the oracle, so only synth imports it (and geometry).
+    from .synthetic import run_batch
+
     config = _load_config(args)
     stats = run_batch(
         scene_count=args.scenes,

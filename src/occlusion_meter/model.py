@@ -141,9 +141,13 @@ class BoundingBox:
         return min(w, h) / max(w, h)
 
     def gap_to(self, other: "BoundingBox") -> float:
-        """Euclidean separation between two boxes; 0.0 when they touch or overlap."""
-        dx = max(other.x_min - self.x_max, self.x_min - other.x_max, 0.0)
-        dy = max(other.y_min - self.y_max, self.y_min - other.y_max, 0.0)
+        """Euclidean separation between two boxes; 0.0 when they touch or overlap.
+
+        ``max`` starts from ``0.0`` and never takes a NaN after it, so the
+        result is never NaN and does not depend on the argument order.
+        """
+        dx = max(0.0, other.x_min - self.x_max, self.x_min - other.x_max)
+        dy = max(0.0, other.y_min - self.y_max, self.y_min - other.y_max)
         return math.hypot(dx, dy)
 
     def clamped(self, image_width: float, image_height: float) -> "BoundingBox":

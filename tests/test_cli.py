@@ -322,6 +322,29 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    @pytest.mark.parametrize(
+        ("argv", "loads_oracle"),
+        [
+            (["classify", str(FIXTURE_DIR / "scenario_a.json")], False),
+            (["batch", str(FIXTURE_DIR)], False),
+            (["synth", "--scenes", "2", "--seed", "1"], True),
+        ],
+        ids=["classify", "batch", "synth"],
+    )
+    def test_only_synth_loads_the_oracle(self, argv, loads_oracle):
+        # classify and batch score detector JSON; synthetic and geometry are the oracle's.
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from occlusion_meter import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, *(name in sys.modules for name in ('occlusion_meter.synthetic', 'occlusion_meter.geometry')))"
+        )
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(EXIT_OK), str(loads_oracle), str(loads_oracle)]
+
 
 # JSON values of every type, with numbers at the edges: non-finite floats,
 # ints beyond the float range, subnormals.

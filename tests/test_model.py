@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import BAD_CONFIG_IDS, BAD_CONFIGS
 
@@ -65,6 +67,12 @@ class TestBoundingBox:
         b = BoundingBox(13, 14, 20, 20)
         assert a.gap_to(b) == pytest.approx(5.0)
         assert b.gap_to(a) == pytest.approx(5.0)
+
+    @given(st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]), min_size=8, max_size=8))
+    @example([0, 0, 10, 10, math.nan, 0, 5, 10])
+    def test_gap_is_symmetric_and_never_nan(self, coords):
+        a, b = BoundingBox(*coords[:4]), BoundingBox(*coords[4:])
+        assert a.gap_to(b) == b.gap_to(a)
 
     def test_clamped(self):
         bbox = BoundingBox(-10, 5, 700, 100).clamped(640, 640)
