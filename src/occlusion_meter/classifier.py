@@ -31,6 +31,9 @@ from .model import (
 
 PartGroup = tuple[PartDetection, ...]
 
+# Built and validated once; classify_frame uses it when given no config.
+_DEFAULT_CONFIG = ClassifierConfig()
+
 
 class CalibrationError(OcclusionMeterError):
     """Threshold calibration is infeasible for the given labels."""
@@ -187,13 +190,16 @@ def classify_frame(frame: DetectionFrame, config: ClassifierConfig | None = None
     threshold are dropped, survivors are grouped into bicycle instances,
     and each group is classified. Reports come back ordered by descending
     visibility, ties broken by bicycle index.
+
+    Without ``config`` the defaults apply, from one ``ClassifierConfig``
+    built at import; no detection is copied on the way to the groups.
     """
-    config = config or ClassifierConfig()
+    config = config or _DEFAULT_CONFIG
     if not frame.validated:
         frame = validate_frame(frame)
-    surviving = tuple(d for d in frame.detections if d.confidence >= config.confidence_threshold)
-    filtered = replace(frame, detections=surviving)
-    groups = group_parts(filtered, config)
+    threshold = config.confidence_threshold
+    surviving = tuple(d for d in frame.detections if d.confidence >= threshold)
+    groups = group_parts(DetectionFrame(frame.image_id, frame.image_width, frame.image_height, surviving), config)
     reports = [
         classify_bicycle(group, config, image_id=frame.image_id, bicycle_index=index)
         for index, group in enumerate(groups)

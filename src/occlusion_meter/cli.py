@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .classifier import calibrate_thresholds, classify_frame
 from .evaluation import render_confusion, render_summary, summarize
-from .ingest import ParseError, load_detections, write_reports
+from .ingest import NESTED_TOO_DEEPLY, ParseError, load_detections, write_reports
 from .model import BoundingBox, ClassifierConfig, OcclusionMeterError
 
 EXIT_OK = 0
@@ -27,7 +27,11 @@ def _load_config(args: argparse.Namespace) -> ClassifierConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         with open(path, "r", encoding="utf-8") as handle:
-            config = ClassifierConfig.from_dict(json.load(handle))
+            try:
+                document = json.load(handle)
+            except RecursionError:
+                raise ParseError(NESTED_TOO_DEEPLY, path) from None
+        config = ClassifierConfig.from_dict(document)
     else:
         config = ClassifierConfig()
     threshold = getattr(args, "confidence_threshold", None)

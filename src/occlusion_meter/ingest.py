@@ -16,9 +16,11 @@ variant with x_min/y_min/x_max/y_max keys is accepted as well. Coordinates
 are clamped to the image bounds, labels are case-folded and checked against
 the closed part set, and each prediction goes through
 ``model.validate_detection`` once before the frame is returned; parsing
-therefore never invents or silently mangles detections. The returned frame
-records that it is validated, so ``classify_frame`` scores it without
-checking it again.
+therefore never invents or silently mangles detections. A valid prediction
+inside the image is built once and kept as it is, and the path of a field
+(``predictions[2].points[1].x``) is formatted only for the error that names
+it. The returned frame records that it is validated, so ``classify_frame``
+scores it without checking it again.
 
 Report output comes in two shapes: a CSV table with one-decimal percentages
 for human eyes, and a JSON array with full-precision numbers that
@@ -44,7 +46,6 @@ from .model import (
     PartDetection,
     UnknownPartLabelError,
     VisibilityReport,
-    json_number,
     mark_validated,
     validate_detection,
 )
@@ -62,8 +63,10 @@ CSV_HEADER = [
     "band",
 ]
 
-_CENTER_KEYS = ("x", "y", "width", "height")
-_CORNER_KEYS = ("x_min", "y_min", "x_max", "y_max")
+_CORNER_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max"))
+
+# The ParseError text for JSON nested past the decoder's recursion limit.
+NESTED_TOO_DEEPLY = "JSON nested too deeply"
 
 
 class ParseError(OcclusionMeterError):
@@ -79,21 +82,42 @@ class ParseError(OcclusionMeterError):
         self.path = path
 
 
-def _require(mapping: Mapping, key: str, path: str):
+def _absent(mapping, key: str, path: str) -> ParseError:
+    # The error for ``mapping[key]`` when ``mapping`` is not an object or lacks ``key``.
     if not isinstance(mapping, dict):  # json.loads makes every object a dict
-        raise ParseError("expected an object", path)
-    if key not in mapping:
-        raise ParseError(f"missing required field: {path}.{key}" if path else f"missing required field: {key}")
-    return mapping[key]
+        return ParseError("expected an object", path)
+    return ParseError(f"missing required field: {path}.{key}" if path else f"missing required field: {key}")
 
 
-def _as_number(value, path: str) -> float:
+def _require(mapping, key: str, path: str):
+    if isinstance(mapping, dict) and key in mapping:
+        return mapping[key]
+    raise _absent(mapping, key, path)
+
+
+def _point_path(path: str, point: int | None) -> str:
+    return path if point is None else f"{path}.points[{point}]"
+
+
+def _number(mapping, key: str, path: str, point: int | None = None) -> float:
+    """``mapping[key]`` as a finite float.
+
+    Checks, in order: ``mapping`` is an object, it holds ``key``, the value is
+    a JSON number and not a bool, and it is finite. ``path`` locates
+    ``mapping`` (``point`` adds ``.points[point]``); it is formatted into a
+    path only when raising, so a valid number builds no string.
+    """
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise _absent(mapping, key, _point_path(path, point))
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"expected a number, got {value!r}", f"{_point_path(path, point)}.{key}")
     try:
-        number = json_number(value)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from None
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"expected a finite number, got {value!r}", path)
+        raise ParseError(f"expected a finite number, got {value!r}", f"{_point_path(path, point)}.{key}")
     return number
 
 
@@ -108,28 +132,28 @@ def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | Non
             return None
         raise ParseError(str(exc), f"{path}.class") from None
 
-    confidence = _as_number(_require(pred, "confidence", path), f"{path}.confidence")
+    confidence = _number(pred, "confidence", path)
     if not 0.0 <= confidence <= 1.0:
         raise ParseError("confidence out of range", f"{path}.confidence")
 
-    if all(k in pred for k in _CORNER_KEYS):
-        bbox = BoundingBox(*(_as_number(pred[k], f"{path}.{k}") for k in _CORNER_KEYS))
+    # Arguments are evaluated left to right, so the first bad field is the one named.
+    if pred.keys() >= _CORNER_KEYS:
+        bbox = BoundingBox(
+            _number(pred, "x_min", path), _number(pred, "y_min", path),
+            _number(pred, "x_max", path), _number(pred, "y_max", path),
+        )
     else:
-        x, y, w, h = (_as_number(_require(pred, k, path), f"{path}.{k}") for k in _CENTER_KEYS)
-        bbox = BoundingBox.from_center(x, y, w, h)
+        bbox = BoundingBox.from_center(
+            _number(pred, "x", path), _number(pred, "y", path),
+            _number(pred, "width", path), _number(pred, "height", path),
+        )
 
     polygon = None
-    if "points" in pred and pred["points"] is not None:
-        points = pred["points"]
+    points = pred.get("points")
+    if points is not None:
         if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
             raise ParseError("expected an array of points", f"{path}.points")
-        polygon = tuple(
-            (
-                _as_number(_require(pt, "x", f"{path}.points[{i}]"), f"{path}.points[{i}].x"),
-                _as_number(_require(pt, "y", f"{path}.points[{i}]"), f"{path}.points[{i}].y"),
-            )
-            for i, pt in enumerate(points)
-        )
+        polygon = tuple((_number(pt, "x", path, i), _number(pt, "y", path, i)) for i, pt in enumerate(points))
 
     return PartDetection(part=part, bbox=bbox, confidence=confidence, polygon=polygon)
 
@@ -150,6 +174,8 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
         data = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(NESTED_TOO_DEEPLY) from None
     if not isinstance(data, Mapping):
         raise ParseError("top level must be an object")
 
@@ -157,8 +183,8 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
     image_id = _require(image, "id", "image")
     if not isinstance(image_id, str):
         raise ParseError("image id must be a string", "image.id")
-    width = _as_number(_require(image, "width", "image"), "image.width")
-    height = _as_number(_require(image, "height", "image"), "image.height")
+    width = _number(image, "width", "image")
+    height = _number(image, "height", "image")
     if width <= 0 or height <= 0 or width != int(width) or height != int(height):
         raise ParseError("image dimensions must be positive integers", "image")
 

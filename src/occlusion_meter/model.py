@@ -151,7 +151,19 @@ class BoundingBox:
         return math.hypot(dx, dy)
 
     def clamped(self, image_width: float, image_height: float) -> "BoundingBox":
-        """Clamp all coordinates into [0, image_width] x [0, image_height]."""
+        """Clamp all coordinates into [0, image_width] x [0, image_height].
+
+        Returns ``self`` when every coordinate is already inside: clamping
+        keeps such a value as it is (an int stays an int, ``-0.0`` stays
+        ``-0.0``), so a copy would hold the same values.
+        """
+        if (
+            0.0 <= self.x_min <= image_width
+            and 0.0 <= self.y_min <= image_height
+            and 0.0 <= self.x_max <= image_width
+            and 0.0 <= self.y_max <= image_height
+        ):
+            return self
         return BoundingBox(
             min(max(self.x_min, 0.0), float(image_width)),
             min(max(self.y_min, 0.0), float(image_height)),
@@ -440,11 +452,27 @@ class VisibilityReport:
         )
 
 
+def _polygon_normalized(polygon, width: float, height: float) -> bool:
+    # Whether ``polygon`` is already what ``validate_detection`` makes of it:
+    # a tuple of (float, float) vertices inside the image.
+    if type(polygon) is not tuple:
+        return False
+    for vertex in polygon:
+        if type(vertex) is not tuple or len(vertex) != 2:
+            return False
+        x, y = vertex
+        if type(x) is not float or type(y) is not float or not (0.0 <= x <= width and 0.0 <= y <= height):
+            return False
+    return True
+
+
 def validate_detection(det: PartDetection, index: int, image_width: float, image_height: float) -> PartDetection:
     """Check one detection and normalize it to the image bounds.
 
     Returns the detection with its part resolved to a ``PartClass`` and its
-    bbox (and polygon, when present) clamped into the image rectangle.
+    bbox (and polygon, when present) clamped into the image rectangle, as
+    float vertices. Returns ``det`` itself when nothing needs normalizing,
+    as for every detection ``ingest.parse_detections`` builds inside the image.
 
     Raises:
         FrameValidationError: with one message naming ``index``.
@@ -473,10 +501,11 @@ def validate_detection(det: PartDetection, index: int, image_width: float, image
     if polygon is not None:
         if len(polygon) < 3:
             raise FrameValidationError([f"polygon with fewer than 3 vertices at index {index}"])
-        if not all(math.isfinite(c) for vertex in polygon for c in vertex):
-            raise FrameValidationError([f"non-finite polygon vertex at index {index}"])
         w, h = float(image_width), float(image_height)
-        polygon = tuple((min(max(float(x), 0.0), w), min(max(float(y), 0.0), h)) for x, y in polygon)
+        if not _polygon_normalized(polygon, w, h):  # such a polygon is finite too
+            if not all(math.isfinite(c) for vertex in polygon for c in vertex):
+                raise FrameValidationError([f"non-finite polygon vertex at index {index}"])
+            polygon = tuple((min(max(float(x), 0.0), w), min(max(float(y), 0.0), h)) for x, y in polygon)
         extent = (*map(min, zip(*polygon)), *map(max, zip(*polygon)))
         deviation = max(abs(a - b) for a, b in zip(extent, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max)))
         if deviation > POLYGON_BBOX_TOLERANCE:
@@ -484,6 +513,8 @@ def validate_detection(det: PartDetection, index: int, image_width: float, image
                 [f"polygon extent disagrees with bbox at index {index} (off by {deviation:.2f} px)"]
             )
 
+    if part is det.part and bbox is det.bbox and polygon is det.polygon:
+        return det
     return PartDetection(part, bbox, det.confidence, polygon)
 
 

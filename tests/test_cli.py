@@ -173,6 +173,38 @@ class TestBatch:
         assert unreadable.startswith("error: ") and str(tmp_path / "e.json") in unreadable
 
 
+def deeply_nested(depth=100_000):
+    return "[" * depth + "]" * depth
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the decoder's recursion limit is an input error naming the file, not an internal error."""
+
+    def test_classify(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"image": {"id": "d", "width": 640, "height": 640}, "predictions": ' + deeply_nested() + "}")
+        code, out, err = run_main(capsys, "classify", str(path))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {path}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_batch_names_the_file(self, tmp_path, capsys, fmt):
+        (tmp_path / "a.json").write_bytes((FIXTURE_DIR / "scenario_a.json").read_bytes())
+        (tmp_path / "b.json").write_text(deeply_nested(), encoding="utf-8")
+        code, out, err = run_main(capsys, "batch", str(tmp_path), "--format", fmt)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {tmp_path / 'b.json'}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("command", ["classify", "batch", "synth"])
+    def test_config_file(self, tmp_path, capsys, monkeypatch, command):
+        config = tmp_path / "config.json"
+        config.write_text('{"wheel_fractions": ' + deeply_nested() + "}", encoding="utf-8")
+        argv = {"classify": [str(FIXTURE_DIR / "scenario_a.json")], "batch": [str(FIXTURE_DIR)],
+                "synth": ["--scenes", "1", "--seed", "1"]}[command]
+        expected = (EXIT_INPUT, "", f"error: {config}: JSON nested too deeply\n")
+        assert run_main(capsys, command, *argv, "--config", str(config)) == expected
+        monkeypatch.setenv("OCCLUSION_METER_CONFIG", str(config))
+        assert run_main(capsys, command, *argv) == expected
+
+
 class TestSynth:
     def test_single_clean_scene(self, capsys):
         code, out, _ = run_main(capsys, "synth", "--scenes", "1", "--seed", "7", "--occluders", "0")

@@ -208,6 +208,104 @@ class TestParseDetections:
             assert report.occlusion_pct == pytest.approx(occlusion, abs=0.05)
 
 
+FRAME_CORNERS = {"class": "frame", "confidence": 0.8, "x_min": 10, "y_min": 20, "x_max": 110, "y_max": 90}
+OUTLINED = dict(FRAME_CORNERS, points=[{"x": 10, "y": 20}, {"x": 110, "y": 20}, {"x": 110, "y": 90}, {"x": 10, "y": 90}])
+
+# Each bad number as json.dumps writes it, and the message it must give.
+BAD_NUMBERS = [
+    ("left", "expected a number, got 'left'"),
+    (True, "expected a number, got True"),
+    (None, "expected a number, got None"),
+    ([1], "expected a number, got [1]"),
+    (math.nan, "expected a finite number, got nan"),
+    (math.inf, "expected a finite number, got inf"),
+    (-math.inf, "expected a finite number, got -inf"),
+    (10**400, f"expected a finite number, got {10**400}"),
+    (-(10**400), f"expected a finite number, got {-(10**400)}"),
+]
+BAD_NUMBER_IDS = ["str", "true", "null", "array", "nan", "inf", "-inf", "big", "-big"]
+
+
+class TestErrorPaths:
+    """The exact text and ``path`` of every field error, recorded before the parser formatted paths lazily."""
+
+    def raised(self, preds, permissive, **image):
+        with pytest.raises(ParseError) as info:
+            parse_detections(doc(preds, **image), permissive=permissive)
+        return str(info.value), info.value.path
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    @pytest.mark.parametrize("key", ["x_min", "y_min", "x_max", "y_max", "confidence"])
+    def test_corner_prediction_number(self, key, value, message, permissive):
+        path = f"predictions[1].{key}"
+        assert self.raised([FRAME_CORNERS, dict(FRAME_CORNERS, **{key: value})], permissive) == (f"{path}: {message}", path)
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    @pytest.mark.parametrize("key", ["x", "y", "width", "height"])
+    def test_center_prediction_number(self, key, value, message, permissive):
+        path = f"predictions[1].{key}"
+        assert self.raised([WHEEL, dict(WHEEL, **{key: value})], permissive) == (f"{path}: {message}", path)
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_point_coordinate(self, key, value, message, permissive):
+        points = [dict(point) for point in OUTLINED["points"]]
+        points[2][key] = value
+        path = f"predictions[1].points[2].{key}"
+        assert self.raised([OUTLINED, dict(OUTLINED, points=points)], permissive) == (f"{path}: {message}", path)
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_image_dimension(self, key, value, message, permissive):
+        assert self.raised([WHEEL], permissive, **{key: value}) == (f"image.{key}: {message}", f"image.{key}")
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("key", ["x_min", "y_min", "x_max", "y_max"])
+    def test_missing_corner_falls_back_to_center_keys(self, key, permissive):
+        pred = {k: v for k, v in FRAME_CORNERS.items() if k != key}
+        assert self.raised([FRAME_CORNERS, pred], permissive) == ("missing required field: predictions[1].x", "")
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("key", ["class", "confidence", "x", "y", "width", "height"])
+    def test_missing_prediction_key(self, key, permissive):
+        pred = {k: v for k, v in WHEEL.items() if k != key}
+        assert self.raised([WHEEL, pred], permissive) == (f"missing required field: predictions[1].{key}", "")
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_missing_point_coordinate(self, key, permissive):
+        points = [dict(point) for point in OUTLINED["points"]]
+        del points[2][key]
+        expected = (f"missing required field: predictions[1].points[2].{key}", "")
+        assert self.raised([OUTLINED, dict(OUTLINED, points=points)], permissive) == expected
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("point", ["p", 3, None, True, [10, 90]], ids=["str", "int", "null", "true", "array"])
+    def test_point_not_an_object(self, point, permissive):
+        points = OUTLINED["points"][:2] + [point] + OUTLINED["points"][3:]
+        path = "predictions[1].points[2]"
+        assert self.raised([OUTLINED, dict(OUTLINED, points=points)], permissive) == (f"{path}: expected an object", path)
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("pred", ["wheel", 7, None, [WHEEL]], ids=["str", "int", "null", "array"])
+    def test_prediction_not_an_object(self, pred, permissive):
+        assert self.raised([WHEEL, pred], permissive) == ("predictions[1]: expected an object", "predictions[1]")
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    def test_points_not_an_array(self, permissive):
+        path = "predictions[1].points"
+        assert self.raised([OUTLINED, dict(OUTLINED, points="none")], permissive) == (f"{path}: expected an array of points", path)
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    def test_confidence_out_of_range(self, permissive):
+        path = "predictions[1].confidence"
+        assert self.raised([WHEEL, dict(WHEEL, confidence=-0.5)], permissive) == (f"{path}: confidence out of range", path)
+
+
 # How a prediction of random_document is written, and how it is spoiled.
 _KEPT_KINDS = ("corners", "corners", "corners", "center", "polygon", "upper_case", "overhang")
 _SPOILED_KINDS = ("unknown_label", "zero_width", "off_canvas", "bad_polygon", "bad_confidence")
@@ -302,6 +400,19 @@ class TestDetectionPath:
         calls.clear()
         classify_frame(frame)
         assert len(calls) == len(frame.detections)
+
+    def test_parsed_detections_are_kept_as_they_are(self):
+        rng = random.Random(8)
+        kept = 0
+        for index in range(100):
+            try:
+                parsed = parse_detections(random_document(rng, index), permissive=True)
+            except ParseError:
+                continue
+            checked = validate_frame(parsed)
+            assert all(a is b for a, b in zip(checked.detections, parsed.detections, strict=True))
+            kept += len(parsed.detections)
+        assert kept > 500
 
     def test_validated_mark_is_not_part_of_the_value(self):
         frame = random_frame(random.Random(7), image_id="mark")

@@ -2,12 +2,13 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BAD_CONFIG_IDS, BAD_CONFIGS
 
 from occlusion_meter.model import (
+    POLYGON_BBOX_TOLERANCE,
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
@@ -18,6 +19,7 @@ from occlusion_meter.model import (
     SurfaceAreaModel,
     UnknownPartLabelError,
     VisibilityReport,
+    validate_detection,
     validate_frame,
 )
 
@@ -77,6 +79,11 @@ class TestBoundingBox:
     def test_clamped(self):
         bbox = BoundingBox(-10, 5, 700, 100).clamped(640, 640)
         assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (0, 5, 640, 100)
+
+    def test_clamped_keeps_a_box_already_inside(self):
+        bbox = BoundingBox(-0.0, 5, 640.0, 640)
+        assert bbox.clamped(640, 640) is bbox
+        assert repr(bbox.clamped(640, 480)) == "BoundingBox(x_min=-0.0, y_min=5, x_max=640.0, y_max=480.0)"
 
 
 class TestSurfaceAreaModel:
@@ -315,3 +322,134 @@ class TestValidateFrame:
         with pytest.raises(FrameValidationError) as info:
             validate_frame(frame)
         assert info.value.errors == [message]
+
+
+def reference_clamped(bbox, image_width, image_height):
+    """``BoundingBox.clamped`` as it was before it kept a box already inside: always a new box."""
+    return BoundingBox(
+        min(max(bbox.x_min, 0.0), float(image_width)),
+        min(max(bbox.y_min, 0.0), float(image_height)),
+        min(max(bbox.x_max, 0.0), float(image_width)),
+        min(max(bbox.y_max, 0.0), float(image_height)),
+    )
+
+
+def reference_validate_detection(det, index, image_width, image_height):
+    """``validate_detection`` as it was before it kept a detection needing no change: always a new detection."""
+    part = det.part
+    if not isinstance(part, PartClass):
+        try:
+            part = PartClass.from_label(part)
+        except UnknownPartLabelError as exc:
+            raise FrameValidationError([str(exc)]) from None
+
+    bbox = det.bbox
+    if not all(map(math.isfinite, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max))):
+        raise FrameValidationError([f"non-finite bbox coordinate at index {index}"])
+    bbox = reference_clamped(bbox, image_width, image_height)
+    if bbox.width() <= 0:
+        raise FrameValidationError([f"zero-width bbox at index {index}"])
+    if bbox.height() <= 0:
+        raise FrameValidationError([f"zero-height bbox at index {index}"])
+
+    if not 0.0 <= det.confidence <= 1.0:
+        raise FrameValidationError([f"confidence out of range at index {index}: {det.confidence}"])
+
+    polygon = det.polygon
+    if polygon is not None:
+        if len(polygon) < 3:
+            raise FrameValidationError([f"polygon with fewer than 3 vertices at index {index}"])
+        if not all(math.isfinite(c) for vertex in polygon for c in vertex):
+            raise FrameValidationError([f"non-finite polygon vertex at index {index}"])
+        w, h = float(image_width), float(image_height)
+        polygon = tuple((min(max(float(x), 0.0), w), min(max(float(y), 0.0), h)) for x, y in polygon)
+        extent = (*map(min, zip(*polygon)), *map(max, zip(*polygon)))
+        deviation = max(abs(a - b) for a, b in zip(extent, (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max)))
+        if deviation > POLYGON_BBOX_TOLERANCE:
+            raise FrameValidationError(
+                [f"polygon extent disagrees with bbox at index {index} (off by {deviation:.2f} px)"]
+            )
+
+    return PartDetection(part, bbox, det.confidence, polygon)
+
+
+@st.composite
+def detections_to_validate(draw):
+    """A detection and its image size: int, float, -0.0, edge, overhanging and non-finite coordinates."""
+    width, height = draw(st.integers(1, 800)), draw(st.integers(1, 800))
+
+    def coordinate(limit):
+        return draw(
+            st.integers(0, limit)
+            | st.floats(0, limit)
+            | st.floats(-20, limit + 20)
+            | st.sampled_from([0, 0.0, -0.0, limit, float(limit), -1.5, limit + 0.25, math.nan, math.inf])
+        )
+
+    # Ordered (NaN first), so most boxes have a positive width and height.
+    x0, x1 = sorted((coordinate(width), coordinate(width)), key=lambda c: -math.inf if c != c else c)
+    y0, y1 = sorted((coordinate(height), coordinate(height)), key=lambda c: -math.inf if c != c else c)
+    part = draw(st.sampled_from(list(PartClass)) | st.sampled_from(["wheel", " Frame ", "HANDLEBAR", "pedal"]))
+    confidence = draw(st.floats(0, 1) | st.sampled_from([0, 1, 1.5, math.nan]))
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    inside = [(min(max(float(x), 0.0), width), min(max(float(y), 0.0), height)) for x, y in corners]
+    as_int = lambda c: int(c) if math.isfinite(c) else c  # noqa: E731
+    polygon = draw(
+        st.sampled_from(
+            [
+                None,
+                tuple(inside),  # already normalized
+                tuple(corners),  # the box's own values, ints and all
+                tuple((as_int(x), as_int(y)) for x, y in inside),
+                tuple((x + 0.25, y + 0.25) for x, y in inside),  # overhangs within the tolerance
+                tuple((x - 0.25, y - 0.25) for x, y in inside),
+                tuple((x + 3.0, y) for x, y in inside),  # overhangs or disagrees with the box
+                tuple(inside[:2]),
+                list(inside),
+                tuple(list(vertex) for vertex in inside),
+            ]
+        )
+    )
+    return PartDetection(part, BoundingBox(x0, y0, x1, y1), confidence, polygon), width, height
+
+
+def _outcome(validate, det, width, height):
+    try:
+        return repr(validate(det, 3, width, height))
+    except Exception as exc:  # noqa: BLE001
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestValidateDetectionReuse:
+    @given(detections_to_validate())
+    @settings(max_examples=600)
+    @example((PartDetection(PartClass.WHEEL, BoundingBox(-0.0, 0, 640, 480.0), 0.9), 640, 480))
+    def test_matches_always_copying_reference(self, case):
+        det, width, height = case
+        outcome = _outcome(validate_detection, det, width, height)
+        assert outcome == _outcome(reference_validate_detection, det, width, height)
+        if outcome.startswith("PartDetection("):
+            # What validate_detection returns needs no more normalizing, so it comes back as itself.
+            normalized = validate_detection(det, 3, width, height)
+            assert validate_detection(normalized, 3, width, height) is normalized
+
+    @pytest.mark.parametrize(
+        "bbox, polygon",
+        [  # each polygon leaves the 640 x 480 image over one edge, by less than POLYGON_BBOX_TOLERANCE
+            ((0.0, 0.0, 10.0, 10.0), ((-0.25, 0.0), (10.0, 0.0), (10.0, 10.0), (-0.25, 10.0))),
+            ((630.0, 0.0, 640.0, 10.0), ((630.0, 0.0), (640.25, 0.0), (640.25, 10.0), (630.0, 10.0))),
+            ((0.0, 0.0, 10.0, 10.0), ((0.0, -0.25), (10.0, -0.25), (10.0, 10.0), (0.0, 10.0))),
+            ((0.0, 470.0, 10.0, 480.0), ((0.0, 470.0), (10.0, 470.0), (10.0, 480.25), (0.0, 480.25))),
+        ],
+    )
+    def test_polygon_over_one_edge_is_clamped(self, bbox, polygon):
+        det = PartDetection(PartClass.FRAME, BoundingBox(*bbox), 0.9, polygon)
+        out = validate_detection(det, 0, 640, 480)
+        assert out is not det and out.bbox is det.bbox
+        assert repr(out) == repr(reference_validate_detection(det, 0, 640, 480))
+
+    def test_polygon_of_ints_or_lists_is_copied_as_floats(self):
+        det = PartDetection(PartClass.WHEEL, BoundingBox(0.0, 0.0, 10.0, 10.0), 0.9, [[0, 0], [10, 0], [10, 10]])
+        out = validate_detection(det, 0, 640, 640)
+        assert out is not det and out.bbox is det.bbox
+        assert repr(out.polygon) == "((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))"
