@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .model import (
     PART_LIMITS,
+    DEFAULT_CONFIG,
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
@@ -30,9 +31,6 @@ from .model import (
 )
 
 PartGroup = tuple[PartDetection, ...]
-
-# Built and validated once; classify_frame uses it when given no config.
-_DEFAULT_CONFIG = ClassifierConfig()
 
 
 class CalibrationError(OcclusionMeterError):
@@ -191,10 +189,10 @@ def classify_frame(frame: DetectionFrame, config: ClassifierConfig | None = None
     and each group is classified. Reports come back ordered by descending
     visibility, ties broken by bicycle index.
 
-    Without ``config`` the defaults apply, from one ``ClassifierConfig``
-    built at import; no detection is copied on the way to the groups.
+    Without ``config`` the defaults apply (``model.DEFAULT_CONFIG``); no
+    detection is copied on the way to the groups.
     """
-    config = config or _DEFAULT_CONFIG
+    config = config or DEFAULT_CONFIG
     if not frame.validated:
         frame = validate_frame(frame)
     threshold = config.confidence_threshold
@@ -211,8 +209,6 @@ def classify_frame(frame: DetectionFrame, config: ClassifierConfig | None = None
 def calibrate_thresholds(
     labeled: Sequence[tuple[BoundingBox, float]],
     grid_step: float = 0.01,
-    *,
-    base_config: ClassifierConfig | None = None,
 ) -> ClassifierConfig:
     """Recover wheel ratio thresholds from labeled bounding boxes.
 
@@ -229,10 +225,7 @@ def calibrate_thresholds(
         CalibrationError: when a ratio carries two different expected
             fractions, or an expected fraction is outside the fraction set.
     """
-    base = base_config or ClassifierConfig()
-    fractions = tuple(f for _, f in base.wheel_fractions)
-    if len(fractions) != 4:
-        raise CalibrationError(f"calibration requires exactly 4 fractions, got {len(fractions)}")
+    fractions = tuple(f for _, f in DEFAULT_CONFIG.wheel_fractions)
     if not 0.0 < grid_step < 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5), got {grid_step}")
     if not labeled:
@@ -244,14 +237,10 @@ def calibrate_thresholds(
     conflicts: list[str] = []
     for bbox, fraction in labeled:
         if fraction not in fractions:
-            raise CalibrationError(
-                f"expected fraction {fraction} is not one of the configured fractions {fractions}"
-            )
+            raise CalibrationError(f"expected fraction {fraction} is not one of the configured fractions {fractions}")
         ratio = bbox.aspect_ratio()
         if ratio in by_ratio and by_ratio[ratio] != fraction:
-            conflicts.append(
-                f"ratio {ratio:.6g} labeled both {by_ratio[ratio]} and {fraction}"
-            )
+            conflicts.append(f"ratio {ratio:.6g} labeled both {by_ratio[ratio]} and {fraction}")
             continue
         by_ratio[ratio] = fraction
         ratios.append(ratio)
@@ -309,7 +298,4 @@ def calibrate_thresholds(
                     best_margin = m
     assert best is not None
     t1, t2, t3 = best
-    return replace(
-        base,
-        wheel_fractions=((t1, f1), (t2, f2), (t3, f3), (0.0, f4)),
-    )
+    return replace(DEFAULT_CONFIG, wheel_fractions=((t1, f1), (t2, f2), (t3, f3), (0.0, f4)))

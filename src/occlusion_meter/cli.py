@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .classifier import calibrate_thresholds, classify_frame
 from .evaluation import render_confusion, render_summary, summarize
-from .ingest import NESTED_TOO_DEEPLY, ParseError, load_detections, write_reports
-from .model import BoundingBox, ClassifierConfig, OcclusionMeterError
+from .ingest import ParseError, load_config, load_detections, write_reports
+from .model import DEFAULT_CONFIG, BoundingBox, ClassifierConfig, OcclusionMeterError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -25,15 +25,7 @@ CONFIG_ENV_VAR = "OCCLUSION_METER_CONFIG"
 
 def _load_config(args: argparse.Namespace) -> ClassifierConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                document = json.load(handle)
-            except RecursionError:
-                raise ParseError(NESTED_TOO_DEEPLY, path) from None
-        config = ClassifierConfig.from_dict(document)
-    else:
-        config = ClassifierConfig()
+    config = load_config(path) if path else DEFAULT_CONFIG
     threshold = getattr(args, "confidence_threshold", None)
     if threshold is not None:
         config = replace(config, confidence_threshold=threshold)
@@ -200,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OcclusionMeterError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OcclusionMeterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001

@@ -15,16 +15,17 @@ Prediction boxes are center-based (x, y, width, height). A corner-based
 variant with x_min/y_min/x_max/y_max keys is accepted as well. Coordinates
 are clamped to the image bounds, labels are case-folded and checked against
 the closed part set, and each prediction goes through
-``model.validate_detection`` once before the frame is returned; parsing
-therefore never invents or silently mangles detections. A valid prediction
-inside the image is built once and kept as it is, and the path of a field
-(``predictions[2].points[1].x``) is formatted only for the error that names
-it. The returned frame records that it is validated, so ``classify_frame``
-scores it without checking it again.
+``model.validate_detection`` once; parsing never invents or silently mangles
+detections, and the returned frame is marked validated. The path of a field
+(``predictions[2].points[1].x``) is formatted only for the error naming it.
 
 Report output comes in two shapes: a CSV table with one-decimal percentages
 for human eyes, and a JSON array with full-precision numbers that
 round-trips losslessly through ``reports_from_json``.
+
+Every JSON document read here (detector output, a config, a report array)
+goes through ``_decode``, so each decode failure is a ``ParseError``, and
+every file through ``_read``, so that error names the file first.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ import io
 import json
 import logging
 import math
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .model import (
     BoundingBox,
+    ClassifierConfig,
     DetectionFrame,
     FrameValidationError,
     OcclusionMeterError,
@@ -65,8 +68,7 @@ CSV_HEADER = [
 
 _CORNER_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max"))
 
-# The ParseError text for JSON nested past the decoder's recursion limit.
-NESTED_TOO_DEEPLY = "JSON nested too deeply"
+_T = TypeVar("_T")
 
 
 class ParseError(OcclusionMeterError):
@@ -82,9 +84,28 @@ class ParseError(OcclusionMeterError):
         self.path = path
 
 
+def _decode(document: bytes | str):
+    # Bytes must be UTF-8: the decoder would take UTF-16 and UTF-32 bytes too. Every ValueError
+    # (JSONDecodeError, UnicodeDecodeError, an int past the digit limit) is malformed JSON.
+    try:
+        return json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except ValueError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
+def _read(path: str | Path, parse: Callable[[bytes], _T]) -> _T:
+    """``parse`` of the bytes in the file at ``path``; a ParseError names the file first."""
+    try:
+        return parse(Path(path).read_bytes())
+    except ParseError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
+
+
 def _absent(mapping, key: str, path: str) -> ParseError:
     # The error for ``mapping[key]`` when ``mapping`` is not an object or lacks ``key``.
-    if not isinstance(mapping, dict):  # json.loads makes every object a dict
+    if not isinstance(mapping, dict):  # the decoder makes every object a dict
         return ParseError("expected an object", path)
     return ParseError(f"missing required field: {path}.{key}" if path else f"missing required field: {key}")
 
@@ -151,7 +172,7 @@ def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | Non
     polygon = None
     points = pred.get("points")
     if points is not None:
-        if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
+        if not isinstance(points, list):
             raise ParseError("expected an array of points", f"{path}.points")
         polygon = tuple((_number(pt, "x", path, i), _number(pt, "y", path, i)) for i, pt in enumerate(points))
 
@@ -170,13 +191,8 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
     Raises:
         ParseError: naming the offending path inside the document.
     """
-    try:
-        data = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(NESTED_TOO_DEEPLY) from None
-    if not isinstance(data, Mapping):
+    data = _decode(document)
+    if not isinstance(data, dict):
         raise ParseError("top level must be an object")
 
     image = _require(data, "image", "")
@@ -189,7 +205,7 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
         raise ParseError("image dimensions must be positive integers", "image")
 
     predictions = _require(data, "predictions", "")
-    if not isinstance(predictions, Sequence) or isinstance(predictions, (str, bytes)):
+    if not isinstance(predictions, list):
         raise ParseError("expected an array", "predictions")
 
     width, height = int(width), int(height)
@@ -212,11 +228,20 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
 
 def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionFrame:
     """Read and parse a detector-output JSON file; a ParseError names the file first."""
-    path = Path(path)
+    return _read(path, partial(parse_detections, permissive=permissive))
+
+
+def _parse_config(document: bytes) -> ClassifierConfig:
+    data = _decode(document)
     try:
-        return parse_detections(path.read_bytes(), permissive=permissive)
-    except ParseError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        return ClassifierConfig.from_dict(data)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def load_config(path: str | Path) -> ClassifierConfig:
+    """Read a classifier config JSON file; any error in it is a ParseError naming the file first."""
+    return _read(path, _parse_config)
 
 
 def reports_to_csv(reports: Sequence[VisibilityReport]) -> str:
@@ -236,16 +261,19 @@ def reports_to_json(reports: Sequence[VisibilityReport]) -> str:
 
 
 def reports_from_json(document: bytes | str) -> list[VisibilityReport]:
-    """Inverse of ``reports_to_json``; reproduces the original reports exactly."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
-    if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
+    """Inverse of ``reports_to_json``, reproducing the reports exactly; a bad item is a ParseError at ``[i]``."""
+    data = _decode(document)
+    if not isinstance(data, list):
         raise ParseError("top level must be an array of report objects")
-    return [VisibilityReport.from_dict(item) for item in data]
+    reports = []
+    for index, item in enumerate(data):
+        try:
+            reports.append(VisibilityReport.from_dict(item))
+        except KeyError as exc:  # only an object can lack a key
+            raise ParseError(f"missing required field: {exc.args[0]}", f"[{index}]") from None
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(str(exc) if isinstance(item, dict) else "expected an object", f"[{index}]") from None
+    return reports
 
 
 def write_reports(reports: Sequence[VisibilityReport], format: str = "csv") -> str:

@@ -12,11 +12,9 @@ check of one detection. ``validate_frame`` runs it on each detection of a
 frame and reports *every* problem with the index of the offending
 detection, which is far more useful for batch pipelines than failing on
 the first bad field; ``ingest.parse_detections`` runs it once per
-prediction. A frame either of them returns records that it is validated
-(``DetectionFrame.validated``), so the classifier does not check it again;
-any other frame, including one made with ``dataclasses.replace``, is
-checked before it is scored. Configuration types (``SurfaceAreaModel``,
-``ClassifierConfig``) are built by humans, so they validate eagerly.
+prediction, and both mark the frame they return (``DetectionFrame.validated``).
+Configuration types (``SurfaceAreaModel``, ``ClassifierConfig``) are built by
+humans, so they validate eagerly; ``DEFAULT_CONFIG`` is the one default.
 
 All types are immutable after construction and safe to share across workers.
 No raster data is ever stored here.
@@ -294,16 +292,6 @@ class SurfaceAreaModel:
         return _from_fields(cls, data, "area model", {})
 
 
-# Descending (ratio_threshold, fraction) pairs for the wheel aspect-ratio
-# rule. The last threshold is 0.0 so the rule is total on (0, 1].
-DEFAULT_WHEEL_FRACTIONS: tuple[tuple[float, float], ...] = (
-    (0.85, 1.0),
-    (0.60, 0.7),
-    (0.45, 0.5),
-    (0.0, 0.4),
-)
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Tunable parameters of the visibility classifier.
@@ -324,7 +312,7 @@ class ClassifierConfig:
     """
 
     confidence_threshold: float = 0.5
-    wheel_fractions: tuple[tuple[float, float], ...] = DEFAULT_WHEEL_FRACTIONS
+    wheel_fractions: tuple[tuple[float, float], ...] = ((0.85, 1.0), (0.60, 0.7), (0.45, 0.5), (0.0, 0.4))
     detectability_floor: float = 0.10
     grouping_distance_factor: float = 1.5
     area_model: SurfaceAreaModel = field(default_factory=SurfaceAreaModel)
@@ -362,6 +350,10 @@ class ClassifierConfig:
         """Build a config from a JSON object; missing fields keep defaults, errors name the field."""
         convert = {"wheel_fractions": _wheel_pairs, "area_model": SurfaceAreaModel.from_dict}
         return _from_fields(cls, data, "config", convert)
+
+
+# The default config, built and validated once; frozen, so every default use shares it.
+DEFAULT_CONFIG = ClassifierConfig()
 
 
 def _wheel_pairs(value) -> tuple[tuple[float, float], ...]:

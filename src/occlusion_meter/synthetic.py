@@ -33,6 +33,7 @@ from . import evaluation
 from .classifier import classify_frame, occlusion_band
 from .geometry import ConvexPolygon, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
+    DEFAULT_CONFIG,
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
@@ -205,7 +206,7 @@ class BicycleTemplate:
         top = self.handlebar_rect[3]
         if not _HANDLEBAR_TOP_RANGE[0] <= top <= _HANDLEBAR_TOP_RANGE[1]:
             raise ValueError(f"handlebar top height {top:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
-        reference = SurfaceAreaModel()
+        reference = DEFAULT_CONFIG.area_model
         areas = {inst.slot: inst.area() for inst in self.part_instances()}
         total = sum(areas.values())
         expected = {
@@ -493,7 +494,7 @@ def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> Gr
     The occlusion percentage weights each part's exact visible fraction by
     its surface-area share, continuously (no quantization).
     """
-    model = area_model or SurfaceAreaModel()
+    model = area_model or DEFAULT_CONFIG.area_model
     occluders = scene.occluder_polygons()
     fractions: dict[str, float] = {}
     bboxes: dict[str, BoundingBox | None] = {}
@@ -520,7 +521,7 @@ def simulate_detections(
     0.5 + 0.5 * fraction. Parts below the floor emit nothing. Both values
     are read from the ground truth; no geometry is computed here.
     """
-    config = config or ClassifierConfig()
+    config = config or DEFAULT_CONFIG
     truth = truth or ground_truth(scene, config.area_model)
     detections = []
     for inst in scene.part_instances():
@@ -562,7 +563,7 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
     visibility stands in as the estimate; with no detections at all the
     estimate is full occlusion.
     """
-    config = config or ClassifierConfig()
+    config = config or DEFAULT_CONFIG
     truth = ground_truth(scene, config.area_model)
     frame = simulate_detections(scene, config, truth=truth)
     reports = classify_frame(frame, config)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,9 @@ from occlusion_meter import classify_frame, load_detections
 from occlusion_meter.model import BoundingBox, DetectionFrame, PartClass, PartDetection
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "scenarios"
+
+# Python's limit on the digits of a decoded int; 0 (or a Python before 3.10.7) has none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # Expected (visibility, occlusion) per scenario fixture.
 EXPECTED_SCENARIOS = {
@@ -64,7 +68,9 @@ BAD_CONFIGS = [
     ('{"area_model": {"wheel_share_pct": null}}', "wheel_share_pct"),
     ('{"area_model": {"wheel_area_cm2": Infinity, "total_area_cm2": Infinity}}', "total_area_cm2"),
     ("[0.5]", "config must be an object"),
-]
+    ('{"nope": 1}', "unknown config fields"),
+    ("{", "Expecting property name"),
+] + ([('{"confidence_threshold": 1' + "0" * INT_DIGIT_LIMIT + "}", "Exceeds the limit")] if INT_DIGIT_LIMIT else [])
 BAD_CONFIG_IDS = [document[:40] for document, _ in BAD_CONFIGS]
 
 

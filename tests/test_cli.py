@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, FIXTURE_DIR
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, FIXTURE_DIR, INT_DIGIT_LIMIT
 from occlusion_meter.cli import EXIT_INPUT, EXIT_OK, main
 
 
@@ -160,10 +160,16 @@ class TestBatch:
         (tmp_path / "c.json").write_text("not json", encoding="utf-8")
         (tmp_path / "d.json").write_bytes(b"\xff{")
         (tmp_path / "e.json").mkdir()
+        if INT_DIGIT_LIMIT:
+            huge = "1" + "0" * INT_DIGIT_LIMIT
+            (tmp_path / "d_int.json").write_text(f'{{"image": {{"id": "d", "width": {huge}, "height": 640}}}}')
         code, out, err = run_main(capsys, "batch", str(tmp_path), "--format", fmt)
         assert code == EXIT_INPUT
         assert out == ""
-        *parsed, unreadable = err.splitlines()
+        lines = err.splitlines()
+        if INT_DIGIT_LIMIT:
+            assert lines.pop(3).startswith(f"error: {tmp_path / 'd_int.json'}: malformed JSON: Exceeds the limit (")
+        *parsed, unreadable = lines
         assert parsed == [
             f"error: {tmp_path / 'b.json'}: image: expected an object",
             f"error: {tmp_path / 'c.json'}: malformed JSON: Expecting value: line 1 column 1 (char 0)",
@@ -203,6 +209,38 @@ class TestDeeplyNestedJson:
         assert run_main(capsys, command, *argv, "--config", str(config)) == expected
         monkeypatch.setenv("OCCLUSION_METER_CONFIG", str(config))
         assert run_main(capsys, command, *argv) == expected
+
+
+UNREADABLE_CONFIGS = [
+    pytest.param(b"{", "malformed JSON: Expecting property name enclosed in double quotes", id="malformed"),
+    pytest.param(b"\xff{", "malformed JSON: 'utf-8' codec can't decode byte 0xff", id="bad-utf8"),
+    pytest.param(b'{"nope": 1}', "unknown config fields: ['nope']", id="unknown-field"),
+    pytest.param(
+        b'{"confidence_threshold": 1' + b"0" * INT_DIGIT_LIMIT + b"}", "malformed JSON: Exceeds the limit (",
+        id="int-past-digit-limit", marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int digit limit"),
+    ),
+]
+
+
+class TestConfigFile:
+    """A config file that cannot be read as a config is an input error naming the file, for every command."""
+
+    @pytest.mark.parametrize("document, message", UNREADABLE_CONFIGS)
+    @pytest.mark.parametrize("command", ["classify", "batch", "synth"])
+    def test_names_the_file(self, tmp_path, capsys, monkeypatch, command, document, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(document)
+        argv = {"classify": [str(FIXTURE_DIR / "scenario_a.json")], "batch": [str(FIXTURE_DIR)],
+                "synth": ["--scenes", "1", "--seed", "1"]}[command]
+
+        def check(*extra):
+            code, out, err = run_main(capsys, command, *argv, *extra)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err.startswith(f"error: {config}: {message}") and err.count("\n") == 1
+
+        check("--config", str(config))
+        monkeypatch.setenv("OCCLUSION_METER_CONFIG", str(config))
+        check()
 
 
 class TestSynth:
@@ -255,10 +293,12 @@ class TestSynth:
         code, _, err = run_main(capsys, "synth", "--scenes", "1", "--seed", "1", "--config", str(config))
         assert code == EXIT_INPUT
         assert field in err and "internal error" not in err
+        assert str(config) in err
         monkeypatch.setenv("OCCLUSION_METER_CONFIG", str(config))
         code, _, err = run_main(capsys, "synth", "--scenes", "1", "--seed", "1")
         assert code == EXIT_INPUT
         assert field in err and "internal error" not in err
+        assert str(config) in err
 
 
 class TestCalibrate:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXPECTED_SCENARIOS, random_frame
+from conftest import EXPECTED_SCENARIOS, INT_DIGIT_LIMIT, random_frame
 from occlusion_meter.classifier import classify_frame
 from occlusion_meter.ingest import (
     CSV_HEADER,
@@ -423,6 +423,64 @@ class TestDetectionPath:
         assert repr(parsed) == repr(frame)
         assert dataclasses.asdict(parsed) == dataclasses.asdict(frame)
         assert not dataclasses.replace(parsed).validated
+
+
+@pytest.mark.parametrize("reader", [parse_detections, reports_from_json])
+class TestUndecodable:
+    """Every JSON reader shares one decoder, so each decode failure is a ParseError."""
+
+    def test_bad_utf8(self, reader):
+        with pytest.raises(ParseError, match="^malformed JSON: 'utf-8' codec can't decode byte 0xff"):
+            reader(b"\xff[]")
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int digit limit on this Python")
+    def test_int_past_digit_limit(self, reader):
+        with pytest.raises(ParseError, match=r"^malformed JSON: Exceeds the limit \("):
+            reader("[1" + "0" * INT_DIGIT_LIMIT + "]")
+
+    def test_nested_too_deeply(self, reader):
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            reader("[" * 100_000 + "]" * 100_000)
+
+
+class TestReportsFromJson:
+    """A bad report item is a ParseError at its index."""
+
+    @pytest.fixture
+    def item(self, scenario_reports):
+        return scenario_reports[0].to_dict()
+
+    def parse_error(self, items):
+        with pytest.raises(ParseError) as info:
+            reports_from_json(json.dumps(items))
+        return info.value
+
+    def test_not_an_object(self, item):
+        error = self.parse_error([item, [1, 2]])
+        assert (error.path, str(error)) == ("[1]", "[1]: expected an object")
+
+    def test_missing_field(self, item):
+        del item["band"]
+        error = self.parse_error([item])
+        assert (error.path, str(error)) == ("[0]", "[0]: missing required field: band")
+
+    def test_unknown_band(self, item):
+        error = self.parse_error([item, dict(item, band="hidden")])
+        assert (error.path, str(error)) == ("[1]", "[1]: unknown occlusion band: hidden")
+
+    @pytest.mark.parametrize("field, value", [
+        ("part_contributions", [1]),
+        ("part_contributions", {"pedal": [1.0]}),
+        ("part_contributions", {"wheel": 5}),
+        ("bicycle_index", None),
+        ("bicycle_index", 1e308 * 10),
+        ("visibility_pct", "high"),
+    ])
+    def test_bad_value(self, item, field, value):
+        assert self.parse_error([dict(item, **{field: value})]).path == "[0]"
+
+    def test_top_level_must_be_an_array(self, item):
+        assert str(self.parse_error(item)) == "top level must be an array of report objects"
 
 
 class TestWriteReports:
