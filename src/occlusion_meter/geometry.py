@@ -13,9 +13,12 @@ inside of the same split.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Point = tuple[float, float]
+Bounds = tuple[float, float, float, float]
+Piece = tuple[list[Point], Bounds | None]  # a piece's vertices, and its bounds once walked
 
 # Vertices within this distance of a clip edge count as inside (closed
 # half-plane), which makes boundary tie-breaking deterministic.
@@ -30,29 +33,26 @@ MIN_CIRCLE_SEGMENTS = 16
 
 
 def _signed_area2(vertices: Sequence[Point]) -> float:
-    # Twice the signed area; positive for counter-clockwise order.
+    # Twice the signed area; positive for counter-clockwise order. Summed from
+    # edge (0, 1) on, in order: sum() would compensate on Python 3.12+.
     acc = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
         acc += x0 * y1 - x1 * y0
     return acc
 
 
-def _bounds(points: Sequence[Point]) -> tuple[float, float, float, float]:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+def _bounds(points: Sequence[Point]) -> Bounds:
+    xs, ys = zip(*points)
     return min(xs), min(ys), max(xs), max(ys)
 
 
 class Polygon:
-    """Simple polygon with nonzero area, stored counter-clockwise."""
+    """Simple polygon with nonzero area, stored counter-clockwise, with its bounds walked once."""
 
-    __slots__ = ("vertices", "_area")
+    __slots__ = ("vertices", "_area", "_box")
 
     def __init__(self, vertices: Iterable[Point]):
-        vs = tuple((float(x), float(y)) for x, y in vertices)
+        vs = tuple([(float(x), float(y)) for x, y in vertices])
         if len(vs) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(vs)}")
         doubled = _signed_area2(vs)
@@ -64,12 +64,13 @@ class Polygon:
             doubled = _signed_area2(vs)
         self.vertices = vs
         self._area = abs(doubled) / 2.0
+        self._box = _bounds(vs)
 
     def area(self) -> float:
         return self._area
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        return _bounds(self.vertices)
+    def bounds(self) -> Bounds:
+        return self._box
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.vertices)} vertices, area={self.area():.6g})"
@@ -83,11 +84,7 @@ class ConvexPolygon(Polygon):
     def __init__(self, vertices: Iterable[Point]):
         super().__init__(vertices)
         vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            ax, ay = vs[i]
-            bx, by = vs[(i + 1) % n]
-            cx, cy = vs[(i + 2) % n]
+        for (ax, ay), (bx, by), (cx, cy) in zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
             e1x, e1y = bx - ax, by - ay
             e2x, e2y = cx - bx, cy - by
             cross = e1x * e2y - e1y * e2x
@@ -116,10 +113,13 @@ def circle_polygon(center: Point, radius: float, segments: int = 64) -> ConvexPo
     if segments < MIN_CIRCLE_SEGMENTS:
         raise ValueError(f"segments must be >= {MIN_CIRCLE_SEGMENTS}, got {segments}")
     cx, cy = center
+    return ConvexPolygon([(cx + radius * c, cy + radius * s) for c, s in _unit_circle(segments)])
+
+
+@lru_cache(maxsize=8)
+def _unit_circle(segments: int) -> tuple[Point, ...]:
     step = 2.0 * math.pi / segments
-    return ConvexPolygon(
-        [(cx + radius * math.cos(k * step), cy + radius * math.sin(k * step)) for k in range(segments)]
-    )
+    return tuple((math.cos(k * step), math.sin(k * step)) for k in range(segments))
 
 
 def _clip_half_plane(points: list[Point], a: Point, b: Point) -> list[Point]:
@@ -160,7 +160,7 @@ def clip(subject: Polygon, window: Polygon) -> list[Polygon]:
     disjoint pieces; those edges cancel in the shoelace sum, so all area
     computations on the result stay exact.
     """
-    inside = _split(list(subject.vertices), _as_convex(window))[0]
+    inside = _split(list(subject.vertices), subject.bounds(), _as_convex(window))[0]
     return [Polygon(inside)] if inside else []
 
 
@@ -168,21 +168,22 @@ def _piece_area(points: list[Point]) -> float:
     return _signed_area2(points) / 2.0
 
 
-def _split(piece: list[Point], convex: ConvexPolygon) -> tuple[list[Point], list[list[Point]]]:
+def _split(piece: list[Point], box: Bounds | None, convex: ConvexPolygon) -> tuple[list[Point], list[Piece]]:
     # (inside, outside pieces): peel the part of ``piece`` outside each edge
     # off as a finished piece and carry the inside on. A miss (bbox first, or
-    # an inside at or below _MIN_AREA) is ([], [piece]), so untouched areas
-    # stay bit-identical; the shortcuts never change a vertex of the inside.
-    x0, y0, x1, y1 = _bounds(piece)
+    # an inside at or below _MIN_AREA) is ([], [(piece, bounds)]), so untouched
+    # areas stay bit-identical; the shortcuts never change a vertex of the
+    # inside. A piece's bounds are walked when it is new or clipped, not again
+    # for each occluder that misses it.
+    box = box or _bounds(piece)
+    x0, y0, x1, y1 = box
     ox0, oy0, ox1, oy1 = convex.bounds()
     if x0 > ox1 or ox0 > x1 or y0 > oy1 or oy0 > y1:
-        return [], [piece]
+        return [], [(piece, box)]
     vs = convex.vertices
-    n = len(vs)
-    finished: list[list[Point]] = []
+    finished: list[Piece] = []
     inside = piece
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
+    for a, b in zip(vs, vs[1:] + vs[:1]):
         if a == b:
             continue
         # A carried part whose bbox lies on one side of the edge line, by far
@@ -193,13 +194,13 @@ def _split(piece: list[Point], convex: ConvexPolygon) -> tuple[list[Point], list
         if min(sides) > sure:
             continue
         if max(sides) < -sure:
-            return [], [piece]
+            return [], [(piece, box)]
         outside = _clip_half_plane(inside, b, a)
         inside = _clip_half_plane(inside, a, b)
         if _piece_area(inside) <= _MIN_AREA:
-            return [], [piece]
+            return [], [(piece, box)]
         if _piece_area(outside) > _MIN_AREA:
-            finished.append(outside)
+            finished.append((outside, None))
         x0, y0, x1, y1 = _bounds(inside)
     return inside, finished
 
@@ -212,11 +213,11 @@ def visible_pieces(part: Polygon, occluders: Sequence[Polygon]) -> list[list[Poi
     splits, and pieces below ``_MIN_AREA`` are dropped. A non-convex part may
     leave zero-area bridge edges, which cancel in a shoelace sum.
     """
-    pieces = [list(part.vertices)]
+    pieces: list[Piece] = [(list(part.vertices), part.bounds())]
     for occ in occluders:
         occ = _as_convex(occ)
-        pieces = [kept for piece in pieces for kept in _split(piece, occ)[1]]
-    return pieces
+        pieces = [kept for piece, box in pieces for kept in _split(piece, box, occ)[1]]
+    return [piece for piece, _ in pieces]
 
 
 def pieces_area(part: Polygon, pieces: Iterable[list[Point]]) -> float:

@@ -430,18 +430,40 @@ class VisibilityReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VisibilityReport":
+        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it,
+        and that ``visibility_pct`` is the clamped sum of the contributions."""
+        image_id, index = data["image_id"], data["bicycle_index"]
+        if not isinstance(image_id, str):
+            raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
+        if type(index) is not int:
+            raise ValueError(f"report field bicycle_index: expected an integer, got {index!r}")
         contributions = {
-            PartClass(key): tuple(values)
+            PartClass(key): tuple(_finite_number(v, f"part_contributions.{key}") for v in values)
             for key, values in data["part_contributions"].items()
         }
+        visibility = _finite_number(data["visibility_pct"], "visibility_pct")
+        total = min(max(math.fsum(v for values in contributions.values() for v in values), 0.0), 100.0)
+        if abs(visibility - total) > 1e-9:
+            raise ValueError(f"report field visibility_pct: {visibility} is not the contributions' clamped sum {total}")
         return cls(
-            image_id=data["image_id"],
-            bicycle_index=int(data["bicycle_index"]),
+            image_id=image_id,
+            bicycle_index=index,
             part_contributions=contributions,
-            visibility_pct=float(data["visibility_pct"]),
-            occlusion_pct=float(data["occlusion_pct"]),
+            visibility_pct=visibility,
+            occlusion_pct=_finite_number(data["occlusion_pct"], "occlusion_pct"),
             band=OcclusionBand.from_label(data["band"]),
         )
+
+
+def _finite_number(value, key: str) -> float:
+    # A finite JSON number (an int or a float, not a bool) as a float; a ValueError naming ``key`` otherwise.
+    try:
+        number = json_number(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"report field {key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _polygon_normalized(polygon, width: float, height: float) -> bool:

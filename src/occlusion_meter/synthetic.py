@@ -165,7 +165,7 @@ class PartInstance:
         return _enclosing(p.bounds() for p in self.polygons)
 
     def bounds(self) -> Rect:
-        # Walked once per placed part (a wheel has 128 vertices), though a scene reads it several times.
+        # Enclosed once per placed part from its polygons' stored bounds, though a scene reads it several times.
         return self._bounds
 
 
@@ -341,56 +341,42 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
     return [i * step + a for i in range(n - 1)] + [b]
 
 
+# A part's probe grid is _GRID x _GRID points, bit i * _GRID + j for (xs[j], ys[i]). _COLUMNS[k]
+# holds the bits of grid columns 0..k-1 in every row, _ROWS[k] every bit of rows 0..k-1.
+_GRID = 24
+_COLUMNS = [((1 << k) - 1) * sum(1 << (_GRID * i) for i in range(_GRID)) for k in range(_GRID + 1)]
+_ROWS = [(1 << (_GRID * k)) - 1 for k in range(_GRID + 1)]
+
+
 class _CoverageProbe:
     """Cheap coverage estimator from fixed sample points inside each part.
 
-    Each part with points owns a block of _GRID² int bits, bit i * _GRID + j
-    for its grid point (xs[j], ys[i]); its inside points are a bitset over the
-    block. Per axis, the slots below each distinct coordinate are kept, so a
-    rect costs four bisects and a few int ops.
+    Each part with points keeps its own grid axes (xs, ys, ascending), the
+    bitset of its grid points inside it, their count and its area. A rect
+    covers the columns and rows its closed sides bracket on a part's axes:
+    four bisects and a few int ops per part.
     """
 
-    _GRID = 24
-
     def __init__(self, instances: Sequence[PartInstance]):
-        n = self._GRID
-        column = sum(1 << (n * i) for i in range(n))  # slot j = 0 of every grid row
-        x_slots, y_slots = [], []  # (coordinate, the slots at that coordinate), per axis
-        self.parts: list[tuple[int, int, float]] = []  # (bitset, size, area) of parts with points
+        self.parts: list[tuple[list[float], list[float], int, int, float]] = []  # parts with points
         self.total_area = 0.0
         for inst in instances:
             x0, y0, x1, y1 = inst.bounds()
-            xs, ys = _linspace(x0, x1, n), _linspace(y0, y1, n)
+            xs, ys = _linspace(x0, x1, _GRID), _linspace(y0, y1, _GRID)
             rows = [reduce(operator.or_, row) for row in zip(*(shape.row_masks(xs, ys) for shape in inst.shapes))]
-            inside = sum(row << (n * i) for i, row in enumerate(rows))
+            inside = sum(row << (_GRID * i) for i, row in enumerate(rows))
             area = inst.area()
             if inside:
-                base = n * n * len(self.parts)
-                self.parts.append((inside << base, inside.bit_count(), area))
-                x_slots += [(x, column << (base + j)) for j, x in enumerate(xs)]
-                y_slots += [(y, ((1 << n) - 1) << (base + n * i)) for i, y in enumerate(ys)]
+                self.parts.append((xs, ys, inside, inside.bit_count(), area))
             self.total_area += area
-        self.x_values, self.x_below = self._below(x_slots)
-        self.y_values, self.y_below = self._below(y_slots)
-
-    @staticmethod
-    def _below(slots: list[tuple[float, int]]) -> tuple[list[float], list[int]]:
-        # below[i]: the slots under the i-th distinct value, then all slots.
-        values = sorted({c for c, _ in slots})
-        rank = {v: i for i, v in enumerate(values)}
-        at = [0] * (len(values) + 1)  # at[i + 1]: the slots at the i-th value
-        for c, mask in slots:
-            at[rank[c] + 1] |= mask
-        return values, list(accumulate(at, operator.or_))
 
     def coverage(self, rects: Sequence[Rect]) -> float:
-        xv, xb, yv, yb = self.x_values, self.x_below, self.y_values, self.y_below
-        hit = 0
-        for x0, y0, x1, y1 in rects:
-            in_x = xb[bisect_right(xv, x1)] & ~xb[bisect_left(xv, x0)]
-            hit |= in_x & yb[bisect_right(yv, y1)] & ~yb[bisect_left(yv, y0)]
         covered = 0.0
-        for points, count, area in self.parts:
+        for xs, ys, points, count, area in self.parts:
+            hit = 0
+            for x0, y0, x1, y1 in rects:
+                in_x = _COLUMNS[bisect_right(xs, x1)] & ~_COLUMNS[bisect_left(xs, x0)]
+                hit |= in_x & _ROWS[bisect_right(ys, y1)] & ~_ROWS[bisect_left(ys, y0)]
             covered += area * (float((hit & points).bit_count()) / count)
         return covered / self.total_area
 
@@ -401,13 +387,16 @@ def _sample_rects(rng: random.Random, bike: Rect, coverage_target: float, count:
     # as tall as the bicycle. Free-floating rectangles would instead mostly
     # exercise the estimator's known blind spot (occlusion that leaves the
     # bbox extents unchanged), which is not what road occlusion looks like.
+    # Each uniform(a, b) draw is Random.uniform's own a + (b - a) * random().
     bx0, by0, bx1, by1 = bike
     bw, bh = bx1 - bx0, by1 - by0
+    width, root = bw * (0.10 + 0.95 * coverage_target), math.sqrt(max(count, 1))
+    left, right, draw = bx0 - 0.15 * bw, bx1 + 0.15 * bw, rng.random
     rects = []
     for _ in range(count):
-        w = bw * (0.10 + 0.95 * coverage_target) * rng.uniform(0.5, 1.4) / math.sqrt(max(count, 1))
-        cx = rng.uniform(bx0 - 0.15 * bw, bx1 + 0.15 * bw)
-        top = by1 - bh * rng.uniform(0.9, 1.35)
+        w = width * (0.5 + (1.4 - 0.5) * draw()) / root
+        cx = left + (right - left) * draw()
+        top = by1 - bh * (0.9 + (1.35 - 0.9) * draw())
         x0 = min(max(cx - w / 2.0, 0.0), CANVAS_SIZE - 1.0)
         x1 = min(max(cx + w / 2.0, x0 + 1.0), float(CANVAS_SIZE))
         rects.append((x0, min(max(top, 0.0), CANVAS_SIZE - 1.0), x1, float(CANVAS_SIZE)))

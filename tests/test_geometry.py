@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from occlusion_meter import geometry
 from occlusion_meter.geometry import (
     EDGE_EPS,
     _MIN_AREA,
@@ -15,6 +16,8 @@ from occlusion_meter.geometry import (
     clip,
     rect_polygon,
     visible_area,
+    visible_pieces,
+    _bounds,
     _clip_half_plane,
     _signed_area2,
 )
@@ -112,6 +115,28 @@ class TestPolygon:
             except ValueError:
                 assume(False)
             assert poly.area() == abs(_signed_area2(poly.vertices)) / 2.0
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_coord, st.floats(-50, 50, allow_nan=False)), min_size=3, max_size=10))
+    def test_signed_area_sums_edges_in_index_order(self, points):
+        acc = 0.0
+        for i in range(len(points)):
+            x0, y0 = points[i]
+            x1, y1 = points[(i + 1) % len(points)]
+            acc += x0 * y1 - x1 * y0
+        assert _signed_area2(points) == acc
+        assert _signed_area2(tuple(points)) == acc
+
+    def test_bounds_are_the_stored_vertices_bounds(self):
+        # Walked once at construction; the stored value is a fresh walk's, bit for bit.
+        rng = random.Random(43)
+        for _ in range(200):
+            vertices = random_convex_vertices(rng, center=(rng.uniform(-500, 500), rng.uniform(-500, 500)), spread=80.0)
+            polygons = [Polygon(vertices), Polygon(vertices[::-1]), ConvexPolygon(vertices)]
+            polygons.append(circle_polygon((rng.uniform(0, 640), rng.uniform(0, 640)), rng.uniform(0.5, 200), 128))
+            for poly in polygons:
+                xs, ys = [x for x, _ in poly.vertices], [y for _, y in poly.vertices]
+                assert poly.bounds() == _bounds(poly.vertices) == (min(xs), min(ys), max(xs), max(ys))
 
 
 class TestPolygonArea:
@@ -388,10 +413,30 @@ class TestVisibleArea:
                         x1, y1 = x0 + rng.uniform(1, 300), y0 + rng.uniform(1, 300)
                     if (x1 - x0) * (y1 - y0) > 1e-6:
                         occluders.append(rect_polygon(x0, y0, x1, y1))
-                assert visible_area(part, occluders) == _visible_area_every_clip(part, occluders)
+                area, pieces = _visible_area_every_clip(part, occluders)
+                assert visible_pieces(part, occluders) == pieces
+                assert visible_area(part, occluders) == area
+
+
+    def test_bounds_walked_only_for_new_or_clipped_pieces(self, monkeypatch):
+        # Occluders that miss every piece walk no vertices: each piece carries its bounds.
+        part = circle_polygon((300.0, 300.0), 100.0, 128)
+        far = [rect_polygon(10.0 * i, 600.0, 10.0 * i + 5.0, 620.0) for i in range(4)]
+        clipper = rect_polygon(250.0, 150.0, 350.0, 450.0)  # cuts the disc into a left and a right piece
+        walks = []
+        monkeypatch.setattr(geometry, "_bounds", lambda points: walks.append(len(points)) or _bounds(points))
+        assert visible_pieces(part, far) == [list(part.vertices)]
+        assert walks == []
+        visible_pieces(part, [clipper, far[0]])
+        after_one = list(walks)
+        assert after_one  # the clipped inside and the two new pieces
+        walks.clear()
+        visible_pieces(part, [clipper, *far])
+        assert walks == after_one
 
 
 def _visible_area_every_clip(part, occluders):
+    # (visible area, pieces), running every clip and walking every piece's bounds at every occluder.
     pieces = [list(part.vertices)]
     for occ in occluders:
         ox0, oy0, ox1, oy1 = occ.bounds()
@@ -416,7 +461,7 @@ def _visible_area_every_clip(part, occluders):
                     finished.append(outside)
             kept.extend(finished)
         pieces = kept
-    return min(math.fsum(_signed_area2(p) / 2.0 for p in pieces), part.area())
+    return min(math.fsum(_signed_area2(p) / 2.0 for p in pieces), part.area()), pieces
 
 
 class TestCirclePolygon:
@@ -439,6 +484,16 @@ class TestCirclePolygon:
     def test_typical_wheel_close_to_disc(self):
         poly = circle_polygon((0, 0), 0.35, 128)
         assert poly.area() == pytest.approx(math.pi * 0.35**2, rel=0.002)
+
+    @pytest.mark.parametrize("segments", [16, 37, 64, 128])
+    def test_vertices_are_the_direct_trig_form(self, segments):
+        # The unit circle is cached per segment count; each vertex is still cx + r * cos(k * step).
+        rng = random.Random(segments)
+        step = 2.0 * math.pi / segments
+        for _ in range(50):
+            cx, cy, r = rng.uniform(-700, 700), rng.uniform(-700, 700), rng.uniform(1e-3, 400)
+            expected = tuple((cx + r * math.cos(k * step), cy + r * math.sin(k * step)) for k in range(segments))
+            assert circle_polygon((cx, cy), r, segments).vertices == expected
 
 
 class TestContainmentHelpers:

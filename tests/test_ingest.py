@@ -482,6 +482,49 @@ class TestReportsFromJson:
     def test_top_level_must_be_an_array(self, item):
         assert str(self.parse_error(item)) == "top level must be an array of report objects"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("image_id", 5, "image_id: expected a string, got 5"),
+        ("image_id", None, "image_id: expected a string, got None"),
+        ("bicycle_index", 1.9, "bicycle_index: expected an integer, got 1.9"),
+        ("bicycle_index", 0.0, "bicycle_index: expected an integer, got 0.0"),
+        ("bicycle_index", True, "bicycle_index: expected an integer, got True"),
+        ("visibility_pct", "87.7", "visibility_pct: expected a finite number, got '87.7'"),
+        ("visibility_pct", False, "visibility_pct: expected a finite number, got False"),
+        ("visibility_pct", math.inf, "visibility_pct: expected a finite number, got inf"),
+        ("occlusion_pct", "12.3", "occlusion_pct: expected a finite number, got '12.3'"),
+        ("occlusion_pct", math.nan, "occlusion_pct: expected a finite number, got nan"),
+        ("part_contributions", {"wheel": ["41.0"]}, "part_contributions.wheel: expected a finite number, got '41.0'"),
+        ("part_contributions", {"frame": [True]}, "part_contributions.frame: expected a finite number, got True"),
+        ("part_contributions", {"handlebar": [-math.inf]},
+         "part_contributions.handlebar: expected a finite number, got -inf"),
+    ])
+    def test_checks_field_types_instead_of_converting(self, item, field, value, message):
+        error = self.parse_error([item, dict(item, **{field: value})])
+        assert error.path == "[1]"
+        assert str(error) == f"[1]: report field {message}"
+
+    def test_visibility_must_be_the_clamped_contribution_sum(self, item):
+        total = item["visibility_pct"]
+        for visibility in (total + 2e-9, total - 2e-9, 0.0):
+            off = dict(item, visibility_pct=visibility, occlusion_pct=100.0 - visibility)
+            error = self.parse_error([off])
+            assert (error.path, "visibility_pct" in str(error)) == ("[0]", True)
+        near = dict(item, visibility_pct=total + 5e-10, occlusion_pct=100.0 - (total + 5e-10))
+        assert reports_from_json(json.dumps([near]))[0].visibility_pct == total + 5e-10
+
+    def test_int_numbers_are_json_numbers(self, item):
+        whole = dict(item, part_contributions={"wheel": [41, 41], "frame": [17], "handlebar": [1]})
+        whole.update(visibility_pct=100, occlusion_pct=0, band="low_or_none")
+        report = reports_from_json(json.dumps([whole]))[0]
+        assert (report.visibility_pct, report.part_contributions[PartClass.WHEEL]) == (100.0, (41.0, 41.0))
+
+    def test_every_written_report_round_trips(self):
+        rng = random.Random(17)
+        reports = [r for i in range(300) for r in classify_frame(random_frame(rng, image_id=f"r{i}"))]
+        text = reports_to_json(reports)
+        assert reports_from_json(text) == reports
+        assert reports_to_json(reports_from_json(text)) == text
+
 
 class TestWriteReports:
     def test_csv_row_for_reference_scenario(self, scenario_reports):

@@ -584,6 +584,18 @@ class TestLoopReferences:
             sampler = random.Random(seed)
             assert [r for _ in range(3) for r in _sample_rects(sampler, bike, target, count)] == expected
 
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_sample_rects_draws_like_uniform(self, count):
+        # Draw for draw: the same rects, and the generator left in the same state.
+        for seed in range(60):
+            bike = generate_scene(seed, 0, 0.0).bicycle_bounds()
+            target = (seed % 11) / 10
+            rng, sampler = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                expected = [self.reference_rect(rng, bike, target, count) for _ in range(count)]
+                assert _sample_rects(sampler, bike, target, count) == expected
+                assert sampler.getstate() == rng.getstate()
+
     def test_linspace_matches_numpy(self):
         rng = random.Random(10)
         cases = [(0.0, 1.0, 24), (-3.5, 2.25, 2), (5.0, 5.0, 24), (640.0, 0.1, 7)]
@@ -633,12 +645,27 @@ class TestLoopReferences:
             # Rect edges on sample coordinates check that points on an edge count.
             xs = np.concatenate([self.reference_samples(inst)[0] for inst in instances]).tolist()
             ys = np.concatenate([self.reference_samples(inst)[1] for inst in instances]).tolist()
-            for _ in range(20):
+            # Each part's whole grid axes, and the midpoints between them: a side on one part's grid
+            # coordinate mostly falls between the grid coordinates of a part overlapping it.
+            grid_xs, grid_ys = [], []
+            for inst in instances:
+                x0, y0, x1, y1 = inst.bounds()
+                for axis, lo, hi in ((grid_xs, x0, x1), (grid_ys, y0, y1)):
+                    points = _linspace(lo, hi, 24)
+                    axis += points + [(a + b) / 2.0 for a, b in zip(points, points[1:])]
+            bike = generate_scene(seed, 0, 0.0).bicycle_bounds()
+            nothing, everything = (bike[2] + 1.0, 0.0, 640.0, 640.0), bike
+            for trial in range(40):
+                pool_x, pool_y = (xs, ys) if trial % 2 else (grid_xs, grid_ys)
                 rects = []
                 for _ in range(rng.randint(1, 6)):
-                    (x0, x1), (y0, y1) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
+                    (x0, x1), (y0, y1) = sorted(rng.sample(pool_x, 2)), sorted(rng.sample(pool_y, 2))
                     rects.append((x0, y0, x1, y1))
                 assert probe.coverage(rects) == self.reference_coverage(instances, rects)
+                assert probe.coverage(rects + [nothing]) == probe.coverage(rects)
+                assert probe.coverage(rects[:5] + [everything]) == 1.0
+            assert self.reference_coverage(instances, [everything]) == 1.0
+            assert probe.coverage([nothing]) == self.reference_coverage(instances, [nothing]) == 0.0
 
     def test_visible_bbox_holds_every_raster_centre(self):
         # The raster samples the true circle and the exact bbox its inscribed
