@@ -13,6 +13,7 @@ frames can be classified concurrently with no shared state.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import replace
 from typing import Sequence
 
@@ -22,11 +23,11 @@ from .model import (
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
-    OcclusionBand,
     OcclusionMeterError,
     PartClass,
     PartDetection,
     VisibilityReport,
+    occlusion_band,
     validate_frame,
 )
 
@@ -133,23 +134,6 @@ def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGro
     return [_prune_group(members) for members in ordered]
 
 
-def occlusion_band(occlusion_pct: float) -> OcclusionBand:
-    """Categorical occlusion bucket for an occlusion percentage.
-
-    Boundaries: [0, 10) low/none, [10, 40) partial, [40, 80] heavy,
-    (80, 100] severe.
-    """
-    if not 0.0 <= occlusion_pct <= 100.0:
-        raise ValueError(f"occlusion percentage out of [0, 100]: {occlusion_pct}")
-    if occlusion_pct < 10.0:
-        return OcclusionBand.LOW_OR_NONE
-    if occlusion_pct < 40.0:
-        return OcclusionBand.PARTIAL
-    if occlusion_pct <= 80.0:
-        return OcclusionBand.HEAVY
-    return OcclusionBand.SEVERE
-
-
 def classify_bicycle(
     parts: Sequence[PartDetection],
     config: ClassifierConfig,
@@ -223,7 +207,8 @@ def calibrate_thresholds(
 
     Raises:
         CalibrationError: when a ratio carries two different expected
-            fractions, or an expected fraction is outside the fraction set.
+            fractions, an expected fraction is outside the fraction set, or
+            a bbox has no aspect ratio.
     """
     fractions = tuple(f for _, f in DEFAULT_CONFIG.wheel_fractions)
     if not 0.0 < grid_step < 0.5:
@@ -232,19 +217,21 @@ def calibrate_thresholds(
         raise CalibrationError("no labeled examples provided")
 
     ratios: list[float] = []
-    expected: list[float] = []
+    by_class: dict[float, list[float]] = {f: [] for f in fractions}
     by_ratio: dict[float, float] = {}
     conflicts: list[str] = []
     for bbox, fraction in labeled:
         if fraction not in fractions:
             raise CalibrationError(f"expected fraction {fraction} is not one of the configured fractions {fractions}")
         ratio = bbox.aspect_ratio()
+        if not ratio >= 0.0:  # NaN, say from two sides that overflow to inf, would corrupt the sorted ratios
+            raise CalibrationError(f"bbox {bbox} has no aspect ratio")
         if ratio in by_ratio and by_ratio[ratio] != fraction:
             conflicts.append(f"ratio {ratio:.6g} labeled both {by_ratio[ratio]} and {fraction}")
             continue
         by_ratio[ratio] = fraction
         ratios.append(ratio)
-        expected.append(fraction)
+        by_class[fraction].append(ratio)
     if conflicts:
         raise CalibrationError("conflicting labels: " + "; ".join(conflicts))
 
@@ -259,43 +246,35 @@ def calibrate_thresholds(
 
     # The misclassification count decomposes per threshold. With label
     # classes f1 > f2 > f3 > f4 and prefix counts F_k(t) = #{class-k labels
-    # with ratio < t}, the number of correct labels is
-    #   a(t1) + b(t2) + c(t3)
-    # where a(t) = #{f1: ratio >= t} + F2(t), b(t) = F3(t) - F2(t),
-    # c(t) = F4(t) - F3(t).
-    f1, f2, f3, f4 = fractions
-
-    def below(fraction: float, t: float) -> int:
-        return sum(1 for r, e in zip(ratios, expected) if e == fraction and r < t)
-
-    def at_or_above(fraction: float, t: float) -> int:
-        return sum(1 for r, e in zip(ratios, expected) if e == fraction and r >= t)
-
-    a = [at_or_above(f1, t) + below(f2, t) for t in grid]
-    b = [below(f3, t) - below(f2, t) for t in grid]
-    c = [below(f4, t) - below(f3, t) for t in grid]
+    # with ratio < t}, bisects on each class's sorted ratios, the number of
+    # correct labels is a(t1) + b(t2) + c(t3), where a(t) = #{f1: ratio >= t}
+    # + F2(t), b(t) = F3(t) - F2(t), c(t) = F4(t) - F3(t).
+    r1, r2, r3, r4 = (sorted(by_class[f]) for f in fractions)
+    a = [len(r1) - bisect_left(r1, t) + bisect_left(r2, t) for t in grid]
+    b = [bisect_left(r3, t) - bisect_left(r2, t) for t in grid]
+    c = [bisect_left(r4, t) - bisect_left(r3, t) for t in grid]
 
     # c_best[i] = max(c[:i + 1]) pairs each t2 with its best t3 < t2.
     c_best = list(itertools.accumulate(c, max))
     best_correct = max(a[i1] + b[i2] + c_best[i2 - 1] for i1 in range(2, n) for i2 in range(1, i1))
 
-    def margin(t1: float, t2: float, t3: float) -> float:
-        return sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)
+    # max keeps the first of equal margins, and the tied triples come in ascending order, t3 scanned
+    # only under (t1, t2) pairs that reach best_correct. A margin is summed in order, as in
+    # geometry._signed_area2: sum() compensates on Python 3.12+, which would move float-noise ties.
+    def margin(triple: tuple[float, float, float]) -> float:
+        t1, t2, t3 = triple
+        total = 0.0
+        for r in ratios:
+            total += min(abs(r - t1), abs(r - t2), abs(r - t3))
+        return total
 
-    best: tuple[float, float, float] | None = None
-    best_margin = -1.0
-    for i1 in range(2, n):
-        for i2 in range(1, i1):
-            partial = a[i1] + b[i2]
-            for i3 in range(i2):
-                if partial + c[i3] != best_correct:
-                    continue
-                triple = (grid[i1], grid[i2], grid[i3])
-                m = margin(*triple)
-                # Triples come in ascending order, so equal margins keep the smallest.
-                if m > best_margin:
-                    best = triple
-                    best_margin = m
-    assert best is not None
-    t1, t2, t3 = best
-    return replace(DEFAULT_CONFIG, wheel_fractions=((t1, f1), (t2, f2), (t3, f3), (0.0, f4)))
+    tied = (
+        (grid[i1], grid[i2], grid[i3])
+        for i1 in range(2, n)
+        for i2 in range(1, i1)
+        if a[i1] + b[i2] + c_best[i2 - 1] == best_correct
+        for i3 in range(i2)
+        if a[i1] + b[i2] + c[i3] == best_correct
+    )
+    t1, t2, t3 = max(tied, key=margin)
+    return replace(DEFAULT_CONFIG, wheel_fractions=tuple(zip((t1, t2, t3, 0.0), fractions)))

@@ -182,10 +182,12 @@ def _split(piece: list[Point], box: Bounds | None, convex: ConvexPolygon) -> tup
         return [], [(piece, box)]
     vs = convex.vertices
     finished: list[Piece] = []
-    inside = piece
+    inside = walked = piece
     for a, b in zip(vs, vs[1:] + vs[:1]):
         if a == b:
             continue
+        if inside is not walked:  # a clipped inside's bounds, walked only when a later edge reads them
+            x0, y0, x1, y1 = _bounds(walked := inside)
         # A carried part whose bbox lies on one side of the edge line, by far
         # more than rounding error, needs no clip: nothing to peel, or a miss.
         (ax, ay), ex, ey = a, b[0] - a[0], b[1] - a[1]
@@ -201,7 +203,6 @@ def _split(piece: list[Point], box: Bounds | None, convex: ConvexPolygon) -> tup
             return [], [(piece, box)]
         if _piece_area(outside) > _MIN_AREA:
             finished.append((outside, None))
-        x0, y0, x1, y1 = _bounds(inside)
     return inside, finished
 
 

@@ -93,6 +93,23 @@ class OcclusionBand(str, Enum):
             raise ValueError(f"unknown occlusion band: {label}") from None
 
 
+def occlusion_band(occlusion_pct: float) -> OcclusionBand:
+    """Categorical occlusion bucket for an occlusion percentage.
+
+    Boundaries: [0, 10) low/none, [10, 40) partial, [40, 80] heavy,
+    (80, 100] severe.
+    """
+    if not 0.0 <= occlusion_pct <= 100.0:
+        raise ValueError(f"occlusion percentage out of [0, 100]: {occlusion_pct}")
+    if occlusion_pct < 10.0:
+        return OcclusionBand.LOW_OR_NONE
+    if occlusion_pct < 40.0:
+        return OcclusionBand.PARTIAL
+    if occlusion_pct <= 80.0:
+        return OcclusionBand.HEAVY
+    return OcclusionBand.SEVERE
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in image pixel coordinates, corner based.
@@ -430,28 +447,36 @@ class VisibilityReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VisibilityReport":
-        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it,
-        and that ``visibility_pct`` is the clamped sum of the contributions."""
+        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it, that ``visibility_pct``
+        is the clamped sum of the contributions, and that ``band`` is the band of ``occlusion_pct``."""
         image_id, index = data["image_id"], data["bicycle_index"]
         if not isinstance(image_id, str):
             raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
         if type(index) is not int:
             raise ValueError(f"report field bicycle_index: expected an integer, got {index!r}")
+        parts = data["part_contributions"]
+        known = isinstance(parts, dict) and set(parts) <= {part.value for part in PartClass}
+        if not known or not all(isinstance(values, list) for values in parts.values()):
+            raise ValueError(f"report field part_contributions: expected an object of arrays by part, got {parts!r}")
         contributions = {
             PartClass(key): tuple(_finite_number(v, f"part_contributions.{key}") for v in values)
-            for key, values in data["part_contributions"].items()
+            for key, values in parts.items()
         }
         visibility = _finite_number(data["visibility_pct"], "visibility_pct")
         total = min(max(math.fsum(v for values in contributions.values() for v in values), 0.0), 100.0)
         if abs(visibility - total) > 1e-9:
             raise ValueError(f"report field visibility_pct: {visibility} is not the contributions' clamped sum {total}")
+        occlusion = _finite_number(data["occlusion_pct"], "occlusion_pct")
+        band = OcclusionBand.from_label(data["band"])
+        if band is not occlusion_band(occlusion):
+            raise ValueError(f"report field band: {band.value} is not the band of occlusion_pct {occlusion}")
         return cls(
             image_id=image_id,
             bicycle_index=index,
             part_contributions=contributions,
             visibility_pct=visibility,
-            occlusion_pct=_finite_number(data["occlusion_pct"], "occlusion_pct"),
-            band=OcclusionBand.from_label(data["band"]),
+            occlusion_pct=occlusion,
+            band=band,
         )
 
 

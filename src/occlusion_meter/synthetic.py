@@ -26,7 +26,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
@@ -54,17 +53,11 @@ Rect = tuple[float, float, float, float]
 PointM = tuple[float, float]
 TriangleM = tuple[PointM, PointM, PointM]
 
-# ``row_masks(xs, ys)``: per y in ys, an int whose bit j is set when (xs[j], y) lies in
-# the shape, for xs in any order. A convex shape meets a row in one run of the sorted xs,
-# and each shape's column term is monotone along them under IEEE rounding, so a row's run
-# is found by bisection on the pointwise expressions.
-
-
-def _sorted_columns(xs: Sequence[float]) -> tuple[list[float], list[int]]:
-    # The xs in ascending order, and prefix bitsets over that order: the columns at
-    # sorted positions [lo, hi) are bits[hi] ^ bits[lo].
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    return [xs[j] for j in order], list(accumulate((1 << j for j in order), initial=0))
+# ``row_masks(xs, ys)``: per y in ys, an int whose bit j is set when (xs[j], y) lies in the shape,
+# for ascending xs (the probe's _linspace axes). A convex shape meets a row in one run [lo, hi) of
+# them, bits (1 << hi) - (1 << lo); each shape's column term is monotone along them under IEEE
+# rounding, so the run is found by bisection on the pointwise expressions.
+# ``placed(scale, ox, oy)``: the shape in pixels, which are y-down with the ground line at oy.
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,13 @@ class Circle:
     def polygon(self) -> ConvexPolygon:
         return circle_polygon((self.cx, self.cy), self.radius, WHEEL_SEGMENTS)
 
+    def placed(self, scale: float, ox: float, oy: float) -> "Circle":
+        return Circle(ox + self.cx * scale, oy - self.cy * scale, self.radius * scale)
+
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
         # (x - cx)² falls up to cx and rises after it; each half is bisected outward from cx.
-        sorted_xs, bits = _sorted_columns(xs)
-        mid = bisect_left(sorted_xs, self.cx)
-        dxs = [(x - self.cx) * (x - self.cx) for x in sorted_xs]
+        mid = bisect_left(xs, self.cx)
+        dxs = [(x - self.cx) * (x - self.cx) for x in xs]
         falling, rising = dxs[:mid][::-1], dxs[mid:]
         r2 = self.radius**2
         masks = []
@@ -89,7 +84,7 @@ class Circle:
             dy = (y - self.cy) * (y - self.cy)
             lo = mid - bisect_right(falling, r2, key=lambda dx: dx + dy)
             hi = mid + bisect_right(rising, r2, key=lambda dx: dx + dy)
-            masks.append(bits[hi] ^ bits[lo])
+            masks.append((1 << hi) - (1 << lo))
         return masks
 
 
@@ -103,21 +98,23 @@ class Triangle:
     def polygon(self) -> ConvexPolygon:
         return ConvexPolygon([self.a, self.b, self.c])
 
+    def placed(self, scale: float, ox: float, oy: float) -> "Triangle":
+        return Triangle(*[(ox + p[0] * scale, oy - p[1] * scale) for p in (self.a, self.b, self.c)])
+
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
         # Left of every counter-clockwise edge a->b, closed: left >= right, where right
-        # rises along the sorted xs when by >= ay (a prefix holds) and falls otherwise (a suffix).
-        sorted_xs, bits = _sorted_columns(xs)
+        # rises along the xs when by >= ay (a prefix holds) and falls otherwise (a suffix).
         n = len(xs)
         los, his = [0] * len(ys), [n] * len(ys)
         vs = self.polygon.vertices
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
-            rights, lefts = [(by - ay) * (x - ax) for x in sorted_xs], [(bx - ax) * (y - ay) for y in ys]
+            rights, lefts = [(by - ay) * (x - ax) for x in xs], [(bx - ax) * (y - ay) for y in ys]
             if by - ay >= 0:
                 his = [min(hi, bisect_right(rights, left)) for hi, left in zip(his, lefts)]
             else:
                 rights.reverse()
                 los = [max(lo, n - bisect_right(rights, left)) for lo, left in zip(los, lefts)]
-        return [bits[hi] ^ bits[lo] if lo < hi else 0 for lo, hi in zip(los, his)]
+        return [(1 << hi) - (1 << lo) if lo < hi else 0 for lo, hi in zip(los, his)]
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,14 @@ class RectShape:
     def polygon(self) -> ConvexPolygon:
         return rect_polygon(self.x_min, self.y_min, self.x_max, self.y_max)
 
+    def placed(self, scale: float, ox: float, oy: float) -> "RectShape":
+        return RectShape(
+            ox + self.x_min * scale, oy - self.y_max * scale, ox + self.x_max * scale, oy - self.y_min * scale
+        )
+
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        columns = sum(1 << j for j, x in enumerate(xs) if self.x_min <= x <= self.x_max)
+        lo, hi = bisect_left(xs, self.x_min), bisect_right(xs, self.x_max)
+        columns = (1 << hi) - (1 << lo) if lo < hi else 0
         return [columns if self.y_min <= y <= self.y_max else 0 for y in ys]
 
 
@@ -263,22 +266,6 @@ class BicycleTemplate:
 _DEFAULT_TEMPLATE = BicycleTemplate()
 
 
-def _place_shape(shape: Shape, scale: float, ox: float, oy: float) -> Shape:
-    # Meter coordinates are y-up with the ground at y=0; pixels are y-down
-    # with the ground line at oy.
-    if isinstance(shape, Circle):
-        return Circle(ox + shape.cx * scale, oy - shape.cy * scale, shape.radius * scale)
-    if isinstance(shape, Triangle):
-        pts = [(ox + p[0] * scale, oy - p[1] * scale) for p in (shape.a, shape.b, shape.c)]
-        return Triangle(*pts)
-    return RectShape(
-        ox + shape.x_min * scale,
-        oy - shape.y_max * scale,
-        ox + shape.x_max * scale,
-        oy - shape.y_min * scale,
-    )
-
-
 @dataclass(frozen=True)
 class Scene:
     """A placed bicycle plus occluder rectangles, all in pixel coordinates."""
@@ -294,13 +281,15 @@ class Scene:
         object.__setattr__(self, "occluders", tuple(tuple(float(c) for c in r) for r in self.occluders))
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         object.__setattr__(self, "canvas", tuple(int(c) for c in self.canvas))
+        if self.canvas != (CANVAS_SIZE, CANVAS_SIZE):
+            raise ValueError(f"canvas must be ({CANVAS_SIZE}, {CANVAS_SIZE}) as the oracle assumes, got {self.canvas}")
 
     @cached_property
     def _parts(self) -> tuple[PartInstance, ...]:
         # Placed once per scene (in __dict__, not a field), so the parts' polygons are built once.
         ox, oy = self.origin
         return tuple(
-            PartInstance(inst.slot, inst.part, tuple(_place_shape(s, self.scale, ox, oy) for s in inst.shapes))
+            PartInstance(inst.slot, inst.part, tuple(s.placed(self.scale, ox, oy) for s in inst.shapes))
             for inst in self.template.part_instances()
         )
 
@@ -435,9 +424,8 @@ def generate_scene(
     if occluder_count == 0:
         return base
 
-    parts = base.part_instances()
-    probe = _CoverageProbe(parts)
-    bike = _enclosing(inst.bounds() for inst in parts)
+    probe = _CoverageProbe(base.part_instances())
+    bike = base.bicycle_bounds()
     best_rects: list[Rect] | None = None
     best_gap = math.inf
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
@@ -533,8 +521,8 @@ class EstimatorError:
 
     estimated_occlusion: float
     exact_occlusion: float
-    estimated_band: str
-    exact_band: str
+    estimated_band: OcclusionBand
+    exact_band: OcclusionBand
 
     @property
     def band_agreement(self) -> bool:
@@ -560,8 +548,8 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
     return EstimatorError(
         estimated_occlusion=estimated,
         exact_occlusion=truth.occlusion_pct,
-        estimated_band=occlusion_band(estimated).value,
-        exact_band=occlusion_band(truth.occlusion_pct).value,
+        estimated_band=occlusion_band(estimated),
+        exact_band=occlusion_band(truth.occlusion_pct),
     )
 
 
@@ -608,10 +596,7 @@ def run_batch(
         target = coverage_target if coverage_target is not None else target_rng.uniform(0.0, 0.8)
         scene = generate_scene(base_seed + i, occluder_count, target, template)
         results.append(estimator_error(scene, config))
-    confusion = evaluation.band_confusion(
-        [OcclusionBand(r.estimated_band) for r in results],
-        [OcclusionBand(r.exact_band) for r in results],
-    )
+    confusion = evaluation.band_confusion([r.estimated_band for r in results], [r.exact_band for r in results])
     errors = [r.abs_error for r in results]
     return ExperimentStats(
         scene_count=scene_count,

@@ -1,14 +1,18 @@
+import builtins
 import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXPECTED_SCENARIOS, random_frame
+from occlusion_meter import classifier
 from occlusion_meter.classifier import (
     CalibrationError,
     _prune_group,
@@ -504,11 +508,68 @@ def _exhaustive_thresholds(labeled, grid_step):
             (1.0 if r >= t1 else 0.7 if r >= t2 else 0.5 if r >= t3 else 0.4) == fraction
             for r, (_, fraction) in zip(ratios, labeled)
         )
-        margin = sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)
+        # Left to right, as calibrate_thresholds sums: sum() compensates on Python 3.12+.
+        margin = reduce(operator.add, (min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios), 0.0)
         key = (correct, margin)
         if best_key is None or key > best_key or (key == best_key and (t1, t2, t3) < best):
             best_key, best = key, (t1, t2, t3)
     return best
+
+
+def _loop_thresholds(labeled, grid_step):
+    # calibrate_thresholds before its bisect and max rewrite: per-grid-value label scans and a
+    # nested-loop tie-break, with its margin sum made left to right (what sum() does before 3.12).
+    fractions = (1.0, 0.7, 0.5, 0.4)
+    ratios = [bbox.aspect_ratio() for bbox, _ in labeled]
+    expected = [fraction for _, fraction in labeled]
+    count = int(round(1.0 / grid_step))
+    grid = [round(i * grid_step, 12) for i in range(1, count + 1) if round(i * grid_step, 12) <= 1.0]
+    n = len(grid)
+    f1, f2, f3, f4 = fractions
+
+    def below(fraction, t):
+        return sum(1 for r, e in zip(ratios, expected) if e == fraction and r < t)
+
+    def at_or_above(fraction, t):
+        return sum(1 for r, e in zip(ratios, expected) if e == fraction and r >= t)
+
+    a = [at_or_above(f1, t) + below(f2, t) for t in grid]
+    b = [below(f3, t) - below(f2, t) for t in grid]
+    c = [below(f4, t) - below(f3, t) for t in grid]
+    c_best = list(itertools.accumulate(c, max))
+    best_correct = max(a[i1] + b[i2] + c_best[i2 - 1] for i1 in range(2, n) for i2 in range(1, i1))
+
+    def margin(t1, t2, t3):
+        total = 0.0
+        for r in ratios:
+            total += min(abs(r - t1), abs(r - t2), abs(r - t3))
+        return total
+
+    best, best_margin = None, -1.0
+    for i1 in range(2, n):
+        for i2 in range(1, i1):
+            partial = a[i1] + b[i2]
+            for i3 in range(i2):
+                if partial + c[i3] != best_correct:
+                    continue
+                triple = (grid[i1], grid[i2], grid[i3])
+                m = margin(*triple)
+                if m > best_margin:
+                    best, best_margin = triple, m
+    return best
+
+
+def _compensated_sum(iterable, start=0):
+    # CPython 3.12's sum(): ints exactly, floats with Neumaier compensation.
+    items = list(iterable)
+    if all(type(v) is int for v in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 class TestCalibration:
@@ -523,6 +584,28 @@ class TestCalibration:
             labeled = [(BoundingBox(0, 0, 100, h), rng.choice((1.0, 0.7, 0.5, 0.4))) for h in heights]
             config = calibrate_thresholds(labeled, grid_step=grid_step)
             assert tuple(t for t, _ in config.wheel_fractions[:3]) == _exhaustive_thresholds(labeled, grid_step)
+
+    def test_matches_loop_reference_on_random_labels(self):
+        rng = random.Random(16)
+        decimal_steps = (0.02, 0.025, 0.04, 0.05, 0.1, 0.125, 0.2, 0.25, 0.3)
+        for _ in range(400):
+            step = rng.choice(decimal_steps) if rng.random() < 0.5 else rng.uniform(0.02, 0.3)
+            # Percent heights put ratios on the grid, heights over 100 give ratios 100 / h, and
+            # repeated labels count twice.
+            heights = rng.sample(range(1, 101), rng.randint(1, 15))
+            heights += [rng.uniform(1, 200) for _ in range(rng.randint(0, 10))]
+            labeled = [(BoundingBox(0, 0, 100, h), rng.choice((1.0, 0.7, 0.5, 0.4))) for h in heights]
+            labeled += rng.choices(labeled, k=rng.randint(0, 5))
+            config = calibrate_thresholds(labeled, grid_step=step)
+            assert tuple(t for t, _ in config.wheel_fractions[:3]) == _loop_thresholds(labeled, step)
+
+    def test_margin_tie_break_independent_of_sum(self, monkeypatch):
+        # A float-noise margin tie: Python 3.12's compensated sum() would pick (1.0, 0.6, 0.55).
+        labeled = [(BoundingBox(0, 0, 100, h), f) for h, f in ((62, 0.7), (81, 0.7), (6, 0.4), (82, 0.7))]
+        expected = calibrate_thresholds(labeled, grid_step=0.05).wheel_fractions
+        monkeypatch.setattr(classifier, "sum", _compensated_sum, raising=False)
+        assert calibrate_thresholds(labeled, grid_step=0.05).wheel_fractions == expected
+        assert [t for t, _ in expected] == [1.0, 0.25, 0.2, 0.0]
 
     def test_recovers_defaults_from_dense_labels(self):
         labeled = [(_ratio_bbox(i), _default_fraction(i / 100)) for i in range(1, 101)]
@@ -539,6 +622,12 @@ class TestCalibration:
         labeled = [(_ratio_bbox(70), 1.0), (_ratio_bbox(70), 0.5)]
         with pytest.raises(CalibrationError, match="conflicting labels"):
             calibrate_thresholds(labeled)
+
+    def test_bbox_without_aspect_ratio_rejected(self):
+        # Both sides overflow to inf, so the ratio is NaN.
+        labeled = [(BoundingBox(-1e308, -1e308, 1e308, 1e308), 1.0), (_ratio_bbox(50), 0.5)]
+        with pytest.raises(CalibrationError, match="no aspect ratio"):
+            calibrate_thresholds(labeled, grid_step=0.1)
 
     def test_unknown_fraction_rejected(self):
         with pytest.raises(CalibrationError, match="not one of the configured fractions"):

@@ -503,8 +503,8 @@ class TestContainmentHelpers:
         npr = np.random.default_rng(0)
         for _ in range(5):
             triangle = Triangle(*random_convex_vertices(rng, spread=2.0, n_points=3))
-            xs = npr.uniform(-3, 3, 141)
-            ys = npr.uniform(-3, 3, 142)
+            xs = np.sort(npr.uniform(-3, 3, 141))  # row_masks takes ascending xs
+            ys = np.sort(npr.uniform(-3, 3, 142))
             masks = triangle.row_masks(xs.tolist(), ys.tolist())
             convex = np.array([[bool(m >> j & 1) for j in range(xs.size)] for m in masks])
             grid_x, grid_y = np.meshgrid(xs, ys)

@@ -503,6 +503,20 @@ class TestReportsFromJson:
         assert error.path == "[1]"
         assert str(error) == f"[1]: report field {message}"
 
+    @pytest.mark.parametrize("value", [[1], {"wheel": 5}, {"saddle": [1.0]}])
+    def test_part_contributions_must_be_arrays_keyed_by_part(self, item, value):
+        error = self.parse_error([item, dict(item, part_contributions=value)])
+        message = f"report field part_contributions: expected an object of arrays by part, got {value!r}"
+        assert (error.path, str(error)) == ("[1]", f"[1]: {message}")
+
+    def test_band_must_be_the_band_of_the_occlusion(self, item):
+        full = {"wheel": [41.0, 41.0], "frame": [17.0], "handlebar": [1.0]}
+        contradictory = dict(item, part_contributions=full, visibility_pct=100.0, occlusion_pct=0.0, band="severe")
+        error = self.parse_error([item, contradictory])
+        message = "report field band: severe is not the band of occlusion_pct 0.0"
+        assert (error.path, str(error)) == ("[1]", f"[1]: {message}")
+        assert str(self.parse_error([dict(item, band="heavy")])).startswith("[0]: report field band: heavy")
+
     def test_visibility_must_be_the_clamped_contribution_sum(self, item):
         total = item["visibility_pct"]
         for visibility in (total + 2e-9, total - 2e-9, 0.0):

@@ -100,11 +100,11 @@ _MASK_COORD = st.one_of(_GRID_COORD, st.floats(-8.0, 8.0, allow_nan=False), st.s
 
 @st.composite
 def _mask_axis(draw, anchors):
-    # Free coordinates, the shape's own coordinates, and repeats, in a random order.
+    # Free coordinates, the shape's own coordinates, and repeats, ascending as row_masks requires.
     values = draw(st.lists(_MASK_COORD, max_size=12)) + list(anchors)
     if values:
         values += draw(st.lists(st.sampled_from(values), max_size=4))
-    return draw(st.permutations(values))
+    return sorted(values)
 
 
 @st.composite
@@ -226,6 +226,14 @@ class TestSceneGeneration:
     def test_scene_json_roundtrip(self):
         scene = generate_scene(77, 2, 0.3)
         assert Scene.from_json(scene.to_json()) == scene
+
+    def test_canvas_other_than_the_oracles_rejected(self):
+        # Placement, the occluder sampler and the visible bboxes all assume CANVAS_SIZE.
+        data = json.loads(generate_scene(77, 2, 0.3).to_json())
+        assert Scene.from_dict(dict(data, canvas=[640, 640])) == Scene.from_dict(data)
+        for canvas in ([200, 200], [640, 480]):
+            with pytest.raises(ValueError, match="canvas"):
+                Scene.from_dict(dict(data, canvas=canvas))
 
     def test_parts_stay_on_canvas(self):
         for seed in (0, 5, 9):
