@@ -2,9 +2,9 @@
 
 Pipeline: filter detections by confidence, cluster parts into bicycle
 instances, score each part against the surface-area shares (wheels get an
-aspect-ratio-dependent fraction of their share), sum the contributions into
-a visibility percentage, and derive the occlusion percentage and categorical
-band by subtraction.
+aspect-ratio-dependent fraction of their share), and hand the contributions
+to ``model.VisibilityReport``, which derives the visibility and occlusion
+percentages and the categorical band from them.
 
 Everything here is a pure, deterministic function of (frame, config);
 frames can be classified concurrently with no shared state.
@@ -27,7 +27,7 @@ from .model import (
     PartClass,
     PartDetection,
     VisibilityReport,
-    occlusion_band,
+    occlusion_band,  # re-exported: the package exports it from here
     validate_frame,
 )
 
@@ -143,24 +143,14 @@ def classify_bicycle(
 ) -> VisibilityReport:
     """Visibility report for one pruned part group.
 
-    Visibility is the sum of the group's part contributions clamped to
-    [0, 100]; occlusion is 100 minus visibility, so missing parts count as
-    fully occluded. An empty group yields visibility 0 / occlusion 100.
+    The report derives visibility from the group's part contributions;
+    missing parts count as fully occluded, so an empty group yields
+    visibility 0 / occlusion 100.
     """
     contributions: dict[PartClass, list[float]] = {part: [] for part in PartClass}
     for det in parts:
         contributions[det.part].append(part_visibility(det, config))
-    visibility = sum(itertools.chain.from_iterable(contributions.values()))
-    visibility = min(max(visibility, 0.0), 100.0)
-    occlusion = 100.0 - visibility
-    return VisibilityReport(
-        image_id=image_id,
-        bicycle_index=bicycle_index,
-        part_contributions={part: tuple(values) for part, values in contributions.items()},
-        visibility_pct=visibility,
-        occlusion_pct=occlusion,
-        band=occlusion_band(occlusion),
-    )
+    return VisibilityReport(image_id, bicycle_index, contributions)
 
 
 def classify_frame(frame: DetectionFrame, config: ClassifierConfig | None = None) -> list[VisibilityReport]:
@@ -202,8 +192,8 @@ def calibrate_thresholds(
     ``grid_step`` resolution, minimizing the number of misclassified labels;
     ties are broken by the largest margin (summed distance from each label's
     ratio to its nearest threshold), then by the lexicographically smallest
-    threshold triple. Cost grows cubically in 1/grid_step; steps below
-    0.005 get slow.
+    threshold triple. Cost grows cubically in 1/grid_step, so steps below
+    0.005 are rejected.
 
     Raises:
         CalibrationError: when a ratio carries two different expected
@@ -211,8 +201,8 @@ def calibrate_thresholds(
             a bbox has no aspect ratio.
     """
     fractions = tuple(f for _, f in DEFAULT_CONFIG.wheel_fractions)
-    if not 0.0 < grid_step < 0.5:
-        raise ValueError(f"grid_step must be in (0, 0.5), got {grid_step}")
+    if not 0.005 <= grid_step < 0.5:
+        raise ValueError(f"grid_step must be in [0.005, 0.5), got {grid_step}")
     if not labeled:
         raise CalibrationError("no labeled examples provided")
 

@@ -133,7 +133,7 @@ def _read_label_rows(path: str) -> list[tuple[BoundingBox, float]]:
                 if not bbox.is_valid():
                     raise ParseError("bbox must have positive width and height", where)
                 labeled.append((bbox, fraction))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(str(exc), path) from None
     return labeled
 

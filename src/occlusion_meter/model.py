@@ -383,55 +383,56 @@ def _wheel_pairs(value) -> tuple[tuple[float, float], ...]:
 PART_LIMITS = {PartClass.WHEEL: 2, PartClass.FRAME: 1, PartClass.HANDLEBAR: 1}
 
 
+def ordered_sum(values) -> float:
+    """The values added in the order given, as in geometry._signed_area2: sum() compensates on Python 3.12+."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Per-bicycle visibility result.
+    """Per-bicycle visibility result, derived from its part contributions.
 
-    ``visibility_pct`` is the clamped sum of all part contributions and
-    ``occlusion_pct`` is defined by subtraction from 100, so the two always
-    sum to 100 exactly.
+    ``visibility_pct`` is the contributions added in part order, then in the
+    order given within each part, clamped to [0, 100]; ``occlusion_pct`` is
+    100 minus it and ``band`` its band. The rule lives only here.
     """
 
     image_id: str
     bicycle_index: int
-    part_contributions: Mapping[PartClass, tuple[float, ...]]
-    visibility_pct: float
-    occlusion_pct: float
-    band: OcclusionBand
+    part_contributions: Mapping[PartClass, Sequence[float]]
+    visibility_pct: float = field(init=False)
+    occlusion_pct: float = field(init=False)
+    band: OcclusionBand = field(init=False)
 
     def __post_init__(self) -> None:
-        contributions = {
-            part: tuple(float(v) for v in self.part_contributions.get(part, ()))
-            for part in PartClass
-        }
-        object.__setattr__(self, "part_contributions", contributions)
+        contributions = {part: tuple(float(v) for v in self.part_contributions.get(part, ())) for part in PartClass}
         if self.bicycle_index < 0:
             raise ValueError("bicycle_index must be non-negative")
         for part, values in contributions.items():
             if len(values) > PART_LIMITS[part]:
-                raise ValueError(
-                    f"too many {part.value} contributions: {len(values)} "
-                    f"(max {PART_LIMITS[part]})"
-                )
-        if not 0.0 <= self.visibility_pct <= 100.0:
-            raise ValueError(f"visibility_pct out of [0, 100]: {self.visibility_pct}")
-        if abs(self.visibility_pct + self.occlusion_pct - 100.0) > 1e-9:
-            raise ValueError(
-                f"visibility + occlusion must equal 100, got "
-                f"{self.visibility_pct} + {self.occlusion_pct}"
-            )
+                raise ValueError(f"too many {part.value} contributions: {len(values)} (max {PART_LIMITS[part]})")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{part.value} contributions must be finite, got {values}")
+        visibility = min(max(ordered_sum(v for values in contributions.values() for v in values), 0.0), 100.0)
+        object.__setattr__(self, "part_contributions", contributions)
+        object.__setattr__(self, "visibility_pct", visibility)
+        object.__setattr__(self, "occlusion_pct", 100.0 - visibility)
+        object.__setattr__(self, "band", occlusion_band(100.0 - visibility))
 
     @property
     def wheel_pct(self) -> float:
-        return sum(self.part_contributions[PartClass.WHEEL])
+        return ordered_sum(self.part_contributions[PartClass.WHEEL])
 
     @property
     def frame_pct(self) -> float:
-        return sum(self.part_contributions[PartClass.FRAME])
+        return ordered_sum(self.part_contributions[PartClass.FRAME])
 
     @property
     def handlebar_pct(self) -> float:
-        return sum(self.part_contributions[PartClass.HANDLEBAR])
+        return ordered_sum(self.part_contributions[PartClass.HANDLEBAR])
 
     def to_dict(self) -> dict:
         return {
@@ -447,8 +448,9 @@ class VisibilityReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VisibilityReport":
-        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it, that ``visibility_pct``
-        is the clamped sum of the contributions, and that ``band`` is the band of ``occlusion_pct``."""
+        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it, builds the report from
+        the contributions, and checks the stated ``visibility_pct`` (to 1e-9), ``occlusion_pct`` and ``band``
+        against it. A stated visibility within 1e-9 of the derived one reads as the derived report."""
         image_id, index = data["image_id"], data["bicycle_index"]
         if not isinstance(image_id, str):
             raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
@@ -463,21 +465,17 @@ class VisibilityReport:
             for key, values in parts.items()
         }
         visibility = _finite_number(data["visibility_pct"], "visibility_pct")
-        total = min(max(math.fsum(v for values in contributions.values() for v in values), 0.0), 100.0)
-        if abs(visibility - total) > 1e-9:
-            raise ValueError(f"report field visibility_pct: {visibility} is not the contributions' clamped sum {total}")
         occlusion = _finite_number(data["occlusion_pct"], "occlusion_pct")
         band = OcclusionBand.from_label(data["band"])
-        if band is not occlusion_band(occlusion):
-            raise ValueError(f"report field band: {band.value} is not the band of occlusion_pct {occlusion}")
-        return cls(
-            image_id=image_id,
-            bicycle_index=index,
-            part_contributions=contributions,
-            visibility_pct=visibility,
-            occlusion_pct=occlusion,
-            band=band,
-        )
+        report = cls(image_id, index, contributions)
+        if abs(visibility - report.visibility_pct) > 1e-9:
+            raise ValueError(f"report field visibility_pct: {visibility} is not the contributions' clamped sum "
+                             f"{report.visibility_pct}")
+        if abs(visibility + occlusion - 100.0) > 1e-9:
+            raise ValueError(f"visibility + occlusion must equal 100, got {visibility} + {occlusion}")
+        if band is not report.band:
+            raise ValueError(f"report field band: {band.value} is not the band of occlusion_pct {report.occlusion_pct}")
+        return report
 
 
 def _finite_number(value, key: str) -> float:

@@ -40,6 +40,7 @@ from .model import (
     PartClass,
     PartDetection,
     SurfaceAreaModel,
+    ordered_sum,
 )
 
 CANVAS_SIZE = 640
@@ -600,7 +601,7 @@ def run_batch(
     errors = [r.abs_error for r in results]
     return ExperimentStats(
         scene_count=scene_count,
-        mean_abs_error=sum(errors) / len(errors),
+        mean_abs_error=ordered_sum(errors) / len(errors),
         max_abs_error=max(errors),
         band_agreement_rate=confusion.agreement_rate(),
         confusion=confusion,

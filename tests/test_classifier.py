@@ -34,6 +34,7 @@ from occlusion_meter.model import (
     PartClass,
     PartDetection,
 )
+from occlusion_meter.synthetic import run_batch
 
 CONFIG = ClassifierConfig()
 S = 2.0**996
@@ -559,17 +560,34 @@ def _loop_thresholds(labeled, grid_step):
     return best
 
 
+_builtin_sum = builtins.sum
+
+
 def _compensated_sum(iterable, start=0):
     # CPython 3.12's sum(): ints exactly, floats with Neumaier compensation.
     items = list(iterable)
     if all(type(v) is int for v in items):
-        return builtins.sum(items, start)
+        return _builtin_sum(items, start)
     total, compensation = float(start), 0.0
     for x in items:
         t = total + x
         compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_report_and_batch_sums_independent_of_sum(monkeypatch):
+    # Both sums are float-noise apart under Python 3.12's compensated sum(); they must stay in-order sums.
+    config = ClassifierConfig(wheel_fractions=((0.85, 1.0), (0.6, 0.28), (0.0, 0.08)))
+    frame = frame_of(
+        det(PartClass.WHEEL, 0, 100, 100, 70),
+        det(PartClass.WHEEL, 200, 100, 100, 30),
+        det(PartClass.FRAME, 50, 50, 200, 80),
+        det(PartClass.HANDLEBAR, 230, 30, 30, 15),
+    )
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert [r.visibility_pct for r in classify_frame(frame, config)] == [32.760000000000005]
+    assert run_batch(50, 42).mean_abs_error == 8.76900207546171
 
 
 class TestCalibration:
@@ -628,6 +646,17 @@ class TestCalibration:
         labeled = [(BoundingBox(-1e308, -1e308, 1e308, 1e308), 1.0), (_ratio_bbox(50), 0.5)]
         with pytest.raises(CalibrationError, match="no aspect ratio"):
             calibrate_thresholds(labeled, grid_step=0.1)
+
+    @pytest.mark.parametrize("grid_step", [1e-9, 0.0049, 0.0])
+    def test_grid_step_below_limit_rejected(self, grid_step):
+        # Checked before the grid of round(1 / grid_step) values is built.
+        with pytest.raises(ValueError, match=r"^grid_step must be in \[0\.005, 0\.5\), got "):
+            calibrate_thresholds([(_ratio_bbox(70), 0.7)], grid_step=grid_step)
+
+    def test_grid_step_at_limit_accepted(self):
+        labeled = [(_ratio_bbox(i), _default_fraction(i / 100)) for i in range(1, 101)]
+        config = calibrate_thresholds(labeled, grid_step=0.005)
+        assert all(wheel_visibility_fraction(bbox, config) == fraction for bbox, fraction in labeled)
 
     def test_unknown_fraction_rejected(self):
         with pytest.raises(CalibrationError, match="not one of the configured fractions"):

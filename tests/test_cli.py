@@ -371,6 +371,20 @@ class TestCalibrate:
         assert code == EXIT_INPUT
         assert f"{labels}: field larger than field limit" in err
 
+    def test_labels_not_utf8_exit_2_naming_file(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"width,height,fraction\n100,90,1.0\n\xff\n")
+        code, _, err = run_main(capsys, "calibrate", str(labels))
+        assert code == EXIT_INPUT
+        assert f"{labels}: 'utf-8' codec can't decode byte 0xff" in err and "internal error" not in err
+
+    def test_grid_step_below_limit_exits_2(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        self._write_labels(labels, [(100, 90, 1.0)])
+        code, out, err = run_main(capsys, "calibrate", str(labels), "--grid-step", "1e-9")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "grid_step must be in [0.005, 0.5), got 1e-09" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -19,19 +19,7 @@ from occlusion_meter.model import OcclusionBand, PartClass, VisibilityReport
 
 
 def report(visibility, image_id="img", index=0):
-    occlusion = 100.0 - visibility
-    return VisibilityReport(
-        image_id=image_id,
-        bicycle_index=index,
-        part_contributions={
-            PartClass.WHEEL: (),
-            PartClass.FRAME: (),
-            PartClass.HANDLEBAR: (),
-        },
-        visibility_pct=visibility,
-        occlusion_pct=occlusion,
-        band=occlusion_band(occlusion),
-    )
+    return VisibilityReport(image_id=image_id, bicycle_index=index, part_contributions={PartClass.FRAME: (visibility,)})
 
 
 class TestSummarize:

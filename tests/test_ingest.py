@@ -524,13 +524,49 @@ class TestReportsFromJson:
             error = self.parse_error([off])
             assert (error.path, "visibility_pct" in str(error)) == ("[0]", True)
         near = dict(item, visibility_pct=total + 5e-10, occlusion_pct=100.0 - (total + 5e-10))
-        assert reports_from_json(json.dumps([near]))[0].visibility_pct == total + 5e-10
+        assert reports_from_json(json.dumps([near]))[0].visibility_pct == total
+
+    def test_occlusion_must_complement_visibility(self, item):
+        off = dict(item, occlusion_pct=item["occlusion_pct"] + 2e-9)
+        message = f"visibility + occlusion must equal 100, got {item['visibility_pct']} + {off['occlusion_pct']}"
+        assert str(self.parse_error([off])) == f"[0]: {message}"
+
+    def test_band_is_checked_against_the_derived_report(self, item):
+        # The stated numbers are within 1e-9 of the derived ones but fall on the other side of the 10 % boundary.
+        near = dict(item, part_contributions={"frame": [90.0]}, visibility_pct=90.0 + 5e-10)
+        near.update(occlusion_pct=100.0 - near["visibility_pct"], band="low_or_none")
+        message = "report field band: low_or_none is not the band of occlusion_pct 10.0"
+        assert str(self.parse_error([near])) == f"[0]: {message}"
+        report = reports_from_json(json.dumps([dict(near, band="partial")]))[0]
+        assert (report.visibility_pct, report.occlusion_pct, report.band.value) == (90.0, 10.0, "partial")
 
     def test_int_numbers_are_json_numbers(self, item):
         whole = dict(item, part_contributions={"wheel": [41, 41], "frame": [17], "handlebar": [1]})
         whole.update(visibility_pct=100, occlusion_pct=0, band="low_or_none")
         report = reports_from_json(json.dumps([whole]))[0]
         assert (report.visibility_pct, report.part_contributions[PartClass.WHEEL]) == (100.0, (41.0, 41.0))
+
+    def test_every_constructed_report_round_trips(self):
+        # Any report the constructor accepts, extreme contributions included, is written and read back exactly.
+        rng = random.Random(1717)
+        extremes = (1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 41.0, 100.0)
+
+        def contribution():
+            roll = rng.random()
+            if roll < 0.3:
+                return rng.choice(extremes)
+            if roll < 0.7:
+                return rng.uniform(-150.0, 150.0)
+            return math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1023))
+
+        def contributions():
+            return {part: [contribution() for _ in range(rng.randint(0, n))] for part, n in model.PART_LIMITS.items()}
+
+        reports = [model.VisibilityReport(f"r{i}", rng.randint(0, 3), contributions()) for i in range(2500)]
+        assert {r.band for r in reports} == set(model.OcclusionBand)
+        text = reports_to_json(reports)
+        assert reports_from_json(text) == reports
+        assert reports_to_json(reports_from_json(text)) == text
 
     def test_every_written_report_round_trips(self):
         rng = random.Random(17)

@@ -169,9 +169,6 @@ class TestVisibilityReport:
                 PartClass.FRAME: (17.0,),
                 PartClass.HANDLEBAR: (1.0,),
             },
-            visibility_pct=87.7,
-            occlusion_pct=100.0 - 87.7,
-            band=OcclusionBand.PARTIAL,
         )
         kwargs.update(overrides)
         return VisibilityReport(**kwargs)
@@ -182,9 +179,25 @@ class TestVisibilityReport:
         assert report.frame_pct == 17.0
         assert report.handlebar_pct == 1.0
 
-    def test_conservation_enforced(self):
-        with pytest.raises(ValueError, match="must equal 100"):
-            self._report(occlusion_pct=20.0)
+    def test_derives_visibility_occlusion_and_band(self):
+        full = self._report(
+            part_contributions={PartClass.WHEEL: (41, 41), PartClass.FRAME: (17,), PartClass.HANDLEBAR: (1,)}
+        )
+        assert (full.visibility_pct, full.occlusion_pct, full.band) == (100.0, 0.0, OcclusionBand.LOW_OR_NONE)
+        overflow = self._report(part_contributions={PartClass.WHEEL: (1e308, 1e308)})
+        assert (overflow.visibility_pct, overflow.occlusion_pct) == (100.0, 0.0)
+        negative = self._report(part_contributions={PartClass.FRAME: (-5.0,)})
+        assert (negative.visibility_pct, negative.occlusion_pct, negative.band) == (0.0, 100.0, OcclusionBand.SEVERE)
+        assert repr(self._report(part_contributions={}).visibility_pct) == "0.0"
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            self._report(visibility_pct=50.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_contribution_rejected(self, value):
+        with pytest.raises(ValueError, match="^frame contributions must be finite"):
+            self._report(part_contributions={PartClass.FRAME: (value,)})
 
     def test_wheel_list_capped_at_two(self):
         with pytest.raises(ValueError, match="too many wheel"):
