@@ -28,6 +28,7 @@ from .model import (
     PartDetection,
     VisibilityReport,
     occlusion_band,  # re-exported: the package exports it from here
+    ordered_sum,
     validate_frame,
 )
 
@@ -253,10 +254,7 @@ def calibrate_thresholds(
     # geometry._signed_area2: sum() compensates on Python 3.12+, which would move float-noise ties.
     def margin(triple: tuple[float, float, float]) -> float:
         t1, t2, t3 = triple
-        total = 0.0
-        for r in ratios:
-            total += min(abs(r - t1), abs(r - t2), abs(r - t3))
-        return total
+        return ordered_sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)
 
     tied = (
         (grid[i1], grid[i2], grid[i3])

@@ -51,6 +51,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if not Path(args.dir).is_dir():
+        raise ParseError("not a directory", args.dir)
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         print(f"warning: no *.json files under {args.dir}", file=sys.stderr)

@@ -69,12 +69,6 @@ class BandConfusion:
         diagonal = sum(self.matrix[i][i] for i in range(len(BAND_ORDER)))
         return diagonal / total
 
-    def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.matrix)
-
-    def col_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.matrix) for j in range(len(BAND_ORDER)))
-
 
 def band_confusion(
     estimated: Sequence[OcclusionBand], exact: Sequence[OcclusionBand]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Point = tuple[float, float]
 
@@ -228,12 +228,6 @@ class DetectionFrame:
         without it.
         """
         return self.__dict__.get("_validated", False)
-
-    def __len__(self) -> int:
-        return len(self.detections)
-
-    def __iter__(self) -> Iterator[PartDetection]:
-        return iter(self.detections)
 
 
 def json_number(value) -> float:

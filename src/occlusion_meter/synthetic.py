@@ -29,8 +29,8 @@ from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
-from .classifier import classify_frame, occlusion_band
-from .geometry import ConvexPolygon, circle_polygon, pieces_area, rect_polygon, visible_pieces
+from .classifier import classify_bicycle, classify_frame, occlusion_band
+from .geometry import ConvexPolygon, _bounds, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
     DEFAULT_CONFIG,
     BoundingBox,
@@ -40,6 +40,7 @@ from .model import (
     PartClass,
     PartDetection,
     SurfaceAreaModel,
+    VisibilityReport,
     ordered_sum,
 )
 
@@ -444,7 +445,7 @@ def generate_scene(
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact per-part visible fractions and visible bboxes (None when hidden), and the resulting occlusion level."""
+    """Exact per-part visible fractions and bboxes (None when hidden); VisibilityReport scores their occlusion."""
 
     fractions: Mapping[str, float]
     visibility_pct: float
@@ -462,28 +463,27 @@ def _visible_part(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> tup
         points += [p for piece in pieces for p in piece]
     if not points:
         return visible, None
-    xs, ys = zip(*points)
-    return visible, BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(CANVAS_SIZE, CANVAS_SIZE)
+    return visible, BoundingBox(*_bounds(points)).clamped(CANVAS_SIZE, CANVAS_SIZE)
 
 
 def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> GroundTruth:
     """Exact visibility of every part via polygon clipping.
 
-    The occlusion percentage weights each part's exact visible fraction by
-    its surface-area share, continuously (no quantization).
+    Each part's exact visible fraction, weighted by its surface-area share
+    (no quantization), is scored by ``VisibilityReport``, the estimate's rule.
     """
     model = area_model or DEFAULT_CONFIG.area_model
     occluders = scene.occluder_polygons()
     fractions: dict[str, float] = {}
     bboxes: dict[str, BoundingBox | None] = {}
-    visibility = 0.0
+    contributions: dict[PartClass, list[float]] = {part: [] for part in PartClass}
     for inst in scene.part_instances():
         visible, bboxes[inst.slot] = _visible_part(inst, occluders)
         fraction = min(max(visible / inst.area(), 0.0), 1.0)
         fractions[inst.slot] = fraction
-        visibility += model.share_pct(inst.part) * fraction
-    visibility = min(max(visibility, 0.0), 100.0)
-    return GroundTruth(fractions=fractions, visibility_pct=visibility, occlusion_pct=100.0 - visibility, bboxes=bboxes)
+        contributions[inst.part].append(model.share_pct(inst.part) * fraction)
+    report = VisibilityReport(f"synthetic-{scene.seed}", 0, contributions)
+    return GroundTruth(fractions, report.visibility_pct, report.occlusion_pct, bboxes)
 
 
 def simulate_detections(
@@ -538,20 +538,15 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
     """Run the detection-based estimator on a scene and compare to ground truth.
 
     When grouping splits the (single) bicycle, the report with the highest
-    visibility stands in as the estimate; with no detections at all the
-    estimate is full occlusion.
+    visibility stands in as the estimate; no report means the empty group's
+    report (occlusion 100, band severe).
     """
     config = config or DEFAULT_CONFIG
     truth = ground_truth(scene, config.area_model)
-    frame = simulate_detections(scene, config, truth=truth)
-    reports = classify_frame(frame, config)
-    estimated = reports[0].occlusion_pct if reports else 100.0
-    return EstimatorError(
-        estimated_occlusion=estimated,
-        exact_occlusion=truth.occlusion_pct,
-        estimated_band=occlusion_band(estimated),
-        exact_band=occlusion_band(truth.occlusion_pct),
-    )
+    reports = classify_frame(simulate_detections(scene, config, truth=truth), config)
+    estimate = reports[0] if reports else classify_bicycle((), config)
+    exact_band = occlusion_band(truth.occlusion_pct)
+    return EstimatorError(estimate.occlusion_pct, truth.occlusion_pct, estimate.band, exact_band)
 
 
 @dataclass(frozen=True)

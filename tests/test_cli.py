@@ -146,6 +146,16 @@ class TestBatch:
         assert "warning" in err
         assert out.splitlines()[0].startswith("image_id,")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["missing_dir", "scenario_a.json"])
+    def test_path_not_a_directory_exit_2_naming_it(self, tmp_path, capsys, fmt, name):
+        (tmp_path / "scenario_a.json").write_bytes((FIXTURE_DIR / "scenario_a.json").read_bytes())
+        path = tmp_path / name
+        code, out, err = run_main(capsys, "batch", str(path), "--format", fmt)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: not a directory"]
+
     def test_json_format_bundles_summary(self, capsys):
         code, out, _ = run_main(capsys, "batch", str(FIXTURE_DIR), "--format", "json")
         assert code == EXIT_OK

@@ -111,9 +111,9 @@ class TestBandConfusion:
         estimated = [rng.choice(list(OcclusionBand)) for _ in range(200)]
         confusion = band_confusion(estimated, exact)
         direct = {band: exact.count(band) for band in BAND_ORDER}
-        assert confusion.row_totals() == tuple(direct[band] for band in BAND_ORDER)
+        assert tuple(sum(row) for row in confusion.matrix) == tuple(direct[band] for band in BAND_ORDER)
         direct_est = {band: estimated.count(band) for band in BAND_ORDER}
-        assert confusion.col_totals() == tuple(direct_est[band] for band in BAND_ORDER)
+        assert tuple(map(sum, zip(*confusion.matrix))) == tuple(direct_est[band] for band in BAND_ORDER)
         assert confusion.total() == 200
 
     def test_length_mismatch_rejected(self):
