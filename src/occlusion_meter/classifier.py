@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .model import (
     PART_LIMITS,
+    PARTS,
     DEFAULT_CONFIG,
     BoundingBox,
     ClassifierConfig,
@@ -69,14 +70,16 @@ def part_visibility(detection: PartDetection, config: ClassifierConfig) -> float
 
 def _prune_group(members: list[tuple[int, PartDetection]]) -> PartGroup:
     # Keep the per-class limits, preferring higher confidence, then larger
-    # bbox area, then lower detection index; output stays in detection order.
-    kept: list[tuple[int, PartDetection]] = []
-    for part in PartClass:
+    # bbox area, then lower detection index. ``members`` come in index order
+    # and so does the output; only a class over its limit is sorted.
+    dropped: set[int] = set()
+    for part in PARTS:
         candidates = [(i, d) for i, d in members if d.part is part]
-        candidates.sort(key=lambda item: (-item[1].confidence, -item[1].bbox.area(), item[0]))
-        kept.extend(candidates[: PART_LIMITS[part]])
-    kept.sort(key=lambda item: item[0])
-    return tuple(d for _, d in kept)
+        limit = PART_LIMITS[part]
+        if len(candidates) > limit:
+            candidates.sort(key=lambda item: (-item[1].confidence, -item[1].bbox.area(), item[0]))
+            dropped.update(i for i, _ in candidates[limit:])
+    return tuple(d for i, d in members if i not in dropped)
 
 
 def group_parts(frame: DetectionFrame, config: ClassifierConfig) -> list[PartGroup]:
@@ -148,7 +151,7 @@ def classify_bicycle(
     missing parts count as fully occluded, so an empty group yields
     visibility 0 / occlusion 100.
     """
-    contributions: dict[PartClass, list[float]] = {part: [] for part in PartClass}
+    contributions: dict[PartClass, list[float]] = {part: [] for part in PARTS}
     for det in parts:
         contributions[det.part].append(part_visibility(det, config))
     return VisibilityReport(image_id, bicycle_index, contributions)
@@ -249,20 +252,25 @@ def calibrate_thresholds(
     c_best = list(itertools.accumulate(c, max))
     best_correct = max(a[i1] + b[i2] + c_best[i2 - 1] for i1 in range(2, n) for i2 in range(1, i1))
 
-    # max keeps the first of equal margins, and the tied triples come in ascending order, t3 scanned
-    # only under (t1, t2) pairs that reach best_correct. A margin is summed in order, as in
-    # geometry._signed_area2: sum() compensates on Python 3.12+, which would move float-noise ties.
-    def margin(triple: tuple[float, float, float]) -> float:
-        t1, t2, t3 = triple
-        return ordered_sum(min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios)
-
-    tied = (
-        (grid[i1], grid[i2], grid[i3])
-        for i1 in range(2, n)
-        for i2 in range(1, i1)
-        if a[i1] + b[i2] + c_best[i2 - 1] == best_correct
-        for i3 in range(i2)
-        if a[i1] + b[i2] + c[i3] == best_correct
-    )
-    t1, t2, t3 = max(tied, key=margin)
-    return replace(DEFAULT_CONFIG, wheel_fractions=tuple(zip((t1, t2, t3, 0.0), fractions)))
+    # The tied triples are scanned in ascending order, t3 only under (t1, t2) pairs that reach
+    # best_correct, and only a strictly larger margin replaces the best: the first of equal margins
+    # wins. A margin is summed in order, as in geometry._signed_area2: sum() compensates on Python
+    # 3.12+, which would move float-noise ties. A third threshold brings no label's nearest threshold
+    # farther, and an in-order float sum of terms no larger is no larger, so a pair whose own margin
+    # is at most the best so far holds no triple that beats it, and its t3 scan is skipped.
+    best, best_margin = None, -1.0
+    for i1 in range(2, n):
+        for i2 in range(1, i1):
+            if a[i1] + b[i2] + c_best[i2 - 1] != best_correct:
+                continue
+            t1, t2 = grid[i1], grid[i2]
+            nearest = [min(abs(r - t1), abs(r - t2)) for r in ratios]
+            if ordered_sum(nearest) <= best_margin:
+                continue
+            for i3 in range(i2):
+                if a[i1] + b[i2] + c[i3] == best_correct:
+                    t3 = grid[i3]
+                    margin = ordered_sum(min(d, abs(r - t3)) for d, r in zip(nearest, ratios))
+                    if margin > best_margin:
+                        best, best_margin = (t1, t2, t3), margin
+    return replace(DEFAULT_CONFIG, wheel_fractions=tuple(zip((*best, 0.0), fractions)))

@@ -124,19 +124,26 @@ def _number(mapping, key: str, path: str, point: int | None = None) -> float:
     """``mapping[key]`` as a finite float.
 
     Checks, in order: ``mapping`` is an object, it holds ``key``, the value is
-    a JSON number and not a bool, and it is finite. ``path`` locates
-    ``mapping`` (``point`` adds ``.points[point]``); it is formatted into a
-    path only when raising, so a valid number builds no string.
+    a JSON number, and it is finite. The decoder makes every JSON number an
+    exact ``int`` or ``float``, so the exact type decides: anything else, a
+    bool included, is not a number, and an int past the float range reads as
+    inf. ``path`` locates ``mapping`` (``point`` adds ``.points[point]``); it
+    is formatted into a path only when raising, so a valid number builds no
+    string.
     """
     if not isinstance(mapping, dict) or key not in mapping:
         raise _absent(mapping, key, _point_path(path, point))
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    kind = type(value)
+    if kind is float:
+        number = value
+    elif kind is int:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    else:
         raise ParseError(f"expected a number, got {value!r}", f"{_point_path(path, point)}.{key}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
     if not math.isfinite(number):
         raise ParseError(f"expected a finite number, got {value!r}", f"{_point_path(path, point)}.{key}")
     return number

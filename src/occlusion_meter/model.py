@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from itertools import chain
 from typing import Mapping, Sequence
 
 Point = tuple[float, float]
@@ -69,11 +70,15 @@ class PartClass(str, Enum):
     @classmethod
     def from_label(cls, label: str) -> "PartClass":
         """Map a raw detector label (any casing, padded) to a part class."""
-        normalized = str(label).strip().lower()
-        try:
-            return cls(normalized)
-        except ValueError:
-            raise UnknownPartLabelError(f"unknown part label: {label}") from None
+        part = _PART_BY_LABEL.get(str(label).strip().lower())
+        if part is None:
+            raise UnknownPartLabelError(f"unknown part label: {label}")
+        return part
+
+
+# The parts in PartClass order, as a tuple: iterating the Enum class runs a Python generator each time.
+PARTS = tuple(PartClass)
+_PART_BY_LABEL = {part.value: part for part in PARTS}
 
 
 class OcclusionBand(str, Enum):
@@ -389,9 +394,12 @@ def ordered_sum(values) -> float:
 class VisibilityReport:
     """Per-bicycle visibility result, derived from its part contributions.
 
-    ``visibility_pct`` is the contributions added in part order, then in the
-    order given within each part, clamped to [0, 100]; ``occlusion_pct`` is
-    100 minus it and ``band`` its band. The rule lives only here.
+    ``part_contributions`` may give each part any iterable of numbers, or
+    leave a part out; the report keeps a dict with every part, in
+    ``PartClass`` order, mapped to a tuple of floats. ``visibility_pct`` is
+    those floats added one at a time in that part order, then in the order
+    given within each part, clamped to [0, 100]; ``occlusion_pct`` is 100
+    minus it and ``band`` its band. The rule lives only here.
     """
 
     image_id: str
@@ -402,7 +410,8 @@ class VisibilityReport:
     band: OcclusionBand = field(init=False)
 
     def __post_init__(self) -> None:
-        contributions = {part: tuple(float(v) for v in self.part_contributions.get(part, ())) for part in PartClass}
+        given = self.part_contributions
+        contributions = {part: tuple(map(float, given.get(part, ()))) for part in PARTS}
         if self.bicycle_index < 0:
             raise ValueError("bicycle_index must be non-negative")
         for part, values in contributions.items():
@@ -410,7 +419,7 @@ class VisibilityReport:
                 raise ValueError(f"too many {part.value} contributions: {len(values)} (max {PART_LIMITS[part]})")
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{part.value} contributions must be finite, got {values}")
-        visibility = min(max(ordered_sum(v for values in contributions.values() for v in values), 0.0), 100.0)
+        visibility = min(max(ordered_sum(chain.from_iterable(contributions.values())), 0.0), 100.0)
         object.__setattr__(self, "part_contributions", contributions)
         object.__setattr__(self, "visibility_pct", visibility)
         object.__setattr__(self, "occlusion_pct", 100.0 - visibility)

@@ -1,3 +1,4 @@
+import bisect
 import builtins
 import dataclasses
 import itertools
@@ -8,7 +9,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXPECTED_SCENARIOS, random_frame
@@ -560,6 +561,44 @@ def _loop_thresholds(labeled, grid_step):
     return best
 
 
+def _max_thresholds(labeled, grid_step):
+    # calibrate_thresholds before it skipped (t1, t2) pairs by their bound: every tied triple's
+    # margin, and max, which keeps the first of equal margins in ascending triple order.
+    fractions = (1.0, 0.7, 0.5, 0.4)
+    ratios = [bbox.aspect_ratio() for bbox, _ in labeled]
+    count = int(round(1.0 / grid_step))
+    grid = [round(i * grid_step, 12) for i in range(1, count + 1) if round(i * grid_step, 12) <= 1.0]
+    n = len(grid)
+    r1, r2, r3, r4 = (sorted(bbox.aspect_ratio() for bbox, f in labeled if f == fraction) for fraction in fractions)
+    a = [len(r1) - bisect.bisect_left(r1, t) + bisect.bisect_left(r2, t) for t in grid]
+    b = [bisect.bisect_left(r3, t) - bisect.bisect_left(r2, t) for t in grid]
+    c = [bisect.bisect_left(r4, t) - bisect.bisect_left(r3, t) for t in grid]
+    c_best = list(itertools.accumulate(c, max))
+    best_correct = max(a[i1] + b[i2] + c_best[i2 - 1] for i1 in range(2, n) for i2 in range(1, i1))
+
+    def margin(triple):
+        t1, t2, t3 = triple
+        return reduce(operator.add, (min(abs(r - t1), abs(r - t2), abs(r - t3)) for r in ratios), 0.0)
+
+    tied = (
+        (grid[i1], grid[i2], grid[i3])
+        for i1 in range(2, n)
+        for i2 in range(1, i1)
+        if a[i1] + b[i2] + c_best[i2 - 1] == best_correct
+        for i3 in range(i2)
+        if a[i1] + b[i2] + c[i3] == best_correct
+    )
+    return max(tied, key=margin)
+
+
+@st.composite
+def calibration_labels(draw):
+    """Labels with ratios on and off the percent grid, repeats and few labels, where most triples tie."""
+    heights = draw(st.lists(st.one_of(st.integers(1, 100), st.floats(1.0, 200.0)), min_size=1, max_size=12))
+    labeled = [(BoundingBox(0, 0, 100, h), draw(st.sampled_from((1.0, 0.7, 0.5, 0.4)))) for h in heights]
+    return labeled + draw(st.lists(st.sampled_from(labeled), max_size=3))
+
+
 _builtin_sum = builtins.sum
 
 
@@ -616,6 +655,24 @@ class TestCalibration:
             labeled += rng.choices(labeled, k=rng.randint(0, 5))
             config = calibrate_thresholds(labeled, grid_step=step)
             assert tuple(t for t, _ in config.wheel_fractions[:3]) == _loop_thresholds(labeled, step)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        labeled=calibration_labels(),
+        step=st.one_of(st.sampled_from((0.02, 0.025, 0.05, 0.1, 0.125, 0.25)), st.floats(0.02, 0.3)),
+    )
+    def test_matches_every_tied_margin_reference(self, labeled, step):
+        # One ratio with two fractions is a CalibrationError, so such label sets are left out.
+        ratios = {}
+        assume(all(ratios.setdefault(bbox.aspect_ratio(), f) == f for bbox, f in labeled))
+        config = calibrate_thresholds(labeled, grid_step=step)
+        assert tuple(t for t, _ in config.wheel_fractions[:3]) == _max_thresholds(labeled, step)
+
+    def test_single_label_at_finest_step_matches_every_tied_margin(self):
+        # Every triple that splits the label right ties on the count: the case the pair bound is for.
+        labeled = [(BoundingBox(0, 0, 100, 70), 0.7)]
+        config = calibrate_thresholds(labeled, grid_step=0.005)
+        assert tuple(t for t, _ in config.wheel_fractions[:3]) == _max_thresholds(labeled, 0.005)
 
     def test_margin_tie_break_independent_of_sum(self, monkeypatch):
         # A float-noise margin tie: Python 3.12's compensated sum() would pick (1.0, 0.6, 0.55).

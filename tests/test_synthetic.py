@@ -1,7 +1,9 @@
+import array
 import hashlib
 import json
 import math
 import random
+from types import MappingProxyType
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -11,9 +13,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import compressed_visible_bbox, mc_visible_area
-from occlusion_meter import geometry, synthetic
+from occlusion_meter import geometry, ingest, synthetic
+from occlusion_meter.classifier import _prune_group
 from occlusion_meter.geometry import rect_polygon
-from occlusion_meter.model import BoundingBox, ClassifierConfig, OcclusionBand, PartClass
+from occlusion_meter.model import (
+    PART_LIMITS,
+    BoundingBox,
+    ClassifierConfig,
+    OcclusionBand,
+    PartClass,
+    PartDetection,
+    VisibilityReport,
+    occlusion_band,
+    ordered_sum,
+)
 from occlusion_meter.synthetic import (
     CANVAS_SIZE,
     WHEEL_SEGMENTS,
@@ -701,3 +714,148 @@ class TestLoopReferences:
                     assert exact.y_min - tol <= raster.y_min + dy / 2.0
                     assert raster.x_max - dx / 2.0 <= exact.x_max + tol
                     assert raster.y_max - dy / 2.0 <= exact.y_max + tol
+
+
+def _reference_number(mapping, key: str, path: str, point: int | None = None) -> float:
+    # ingest._number before its exact-type dispatch.
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ingest._absent(mapping, key, ingest._point_path(path, point))
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ingest.ParseError(f"expected a number, got {value!r}", f"{ingest._point_path(path, point)}.{key}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ingest.ParseError(f"expected a finite number, got {value!r}", f"{ingest._point_path(path, point)}.{key}")
+    return number
+
+
+def _reference_prune(members):
+    # classifier._prune_group before it sorted only a class over its limit.
+    kept = []
+    for part in PartClass:
+        candidates = [(i, d) for i, d in members if d.part is part]
+        candidates.sort(key=lambda item: (-item[1].confidence, -item[1].bbox.area(), item[0]))
+        kept.extend(candidates[: PART_LIMITS[part]])
+    kept.sort(key=lambda item: item[0])
+    return tuple(d for _, d in kept)
+
+
+def _reference_report_fields(contributions):
+    # VisibilityReport.__post_init__'s normalising and sum before tuple(map(float, ...)) and chain.
+    normalised = {part: tuple(float(v) for v in contributions.get(part, ())) for part in PartClass}
+    visibility = min(max(ordered_sum(v for values in normalised.values() for v in values), 0.0), 100.0)
+    return normalised, visibility, 100.0 - visibility, occlusion_band(100.0 - visibility)
+
+
+def _outcome(call):
+    # What a call gives, told apart to the bit: a float's hex and type, or an error's type, text and path.
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return type(value), value.hex() if isinstance(value, float) else repr(value)
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**308, max_value=10**330),
+    st.integers(min_value=-(10**330), max_value=-(10**308)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=5),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def _prune_members(draw):
+    """Members of one cluster in index order, often over a class's limit, with ties in confidence and area."""
+    # Boxes of equal area in different places, so only the index can break a tie between them.
+    boxes = [BoundingBox(0, 0, 10, 20), BoundingBox(5, 5, 25, 15), BoundingBox(1, 2, 41, 7), BoundingBox(0, 0, 30, 30)]
+    indices = sorted(draw(st.sets(st.integers(0, 60), max_size=9)))
+    return [
+        (i, PartDetection(draw(st.sampled_from(list(PartClass))), draw(st.sampled_from(boxes)),
+                          draw(st.sampled_from([0.5, 0.75, 0.75, 0.9, 1.0]))))
+        for i in indices
+    ]
+
+
+class TestDetectionLoopReferences:
+    """The detection path's fast paths against the code they replaced, result for result."""
+
+    NUMBERS = [
+        0, 1, -7, 2**53 + 1, 10**308, 10**309, -(10**400),
+        0.0, -0.0, 1.5, -2.25, 1e308, 5e-324, math.nan, math.inf, -math.inf,
+        True, False, "1.5", "", None, [1.0], {"x": 1.0},
+    ]
+
+    @pytest.mark.parametrize("point", [None, 3])
+    @pytest.mark.parametrize("value", NUMBERS, ids=lambda v: repr(v)[:12])
+    def test_number_matches_isinstance_reference(self, value, point):
+        for mapping in ({"x": value}, {"y": value}, [value], value):
+            got = _outcome(lambda: ingest._number(mapping, "x", "predictions[2]", point))
+            assert got == _outcome(lambda: _reference_number(mapping, "x", "predictions[2]", point))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_number_matches_isinstance_reference_on_any_json_value(self, value):
+        mapping = {"x": value}
+        assert _outcome(lambda: ingest._number(mapping, "x", "image")) == _outcome(
+            lambda: _reference_number(mapping, "x", "image")
+        )
+
+    def test_number_sees_the_types_the_decoder_makes(self):
+        decoded = json.loads('[0, -0, 12, 1e400, -0.0, 0.5, 1' + "0" * 400 + ', true, null, "3"]')
+        for value in decoded:
+            mapping = {"x": value}
+            assert _outcome(lambda: ingest._number(mapping, "x", "")) == _outcome(
+                lambda: _reference_number(mapping, "x", "")
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(members=_prune_members())
+    def test_prune_matches_sort_reference(self, members):
+        got = _prune_group(members)
+        expected = _reference_prune(members)
+        assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+    def test_prune_reference_cases_drop_and_tie(self):
+        # The strategy above must reach classes over their limit, and ties that only the index breaks.
+        wheel = PartDetection(PartClass.WHEEL, BoundingBox(0, 0, 10, 20), 0.75)
+        twin = PartDetection(PartClass.WHEEL, BoundingBox(5, 5, 25, 15), 0.75)
+        members = [(3, wheel), (8, twin), (9, wheel), (12, PartDetection(PartClass.FRAME, wheel.bbox, 0.9))]
+        assert _prune_group(members) == _reference_prune(members) == (wheel, twin, members[3][1])
+        assert _prune_group(members[1:]) == _reference_prune(members[1:]) == (twin, wheel, members[3][1])
+
+    @pytest.mark.parametrize(
+        "container",
+        [list, tuple, iter, lambda v: (x for x in v), lambda v: map(float, v), lambda v: array.array("d", v)],
+        ids=["list", "tuple", "iterator", "generator", "map", "array"],
+    )
+    def test_report_fields_match_reference_from_any_iterable(self, container):
+        rng = random.Random(19)
+        for _ in range(300):
+            values = {
+                part: [rng.choice((0, 1, 17, 41)) if rng.random() < 0.2 else rng.uniform(-5.0, 60.0)
+                       for _ in range(rng.randint(0, PART_LIMITS[part]))]
+                for part in PartClass if rng.random() < 0.9
+            }
+            report = VisibilityReport("img", 0, {part: container(v) for part, v in values.items()})
+            parts, visibility, occlusion, band = _reference_report_fields({part: list(v) for part, v in values.items()})
+            assert report.part_contributions == parts
+            assert list(report.part_contributions) == list(PartClass)
+            assert all(type(v) is float for vs in report.part_contributions.values() for v in vs)
+            assert (report.visibility_pct.hex(), report.occlusion_pct.hex(), report.band) == (
+                visibility.hex(), occlusion.hex(), band
+            )
+
+    def test_report_from_a_read_only_mapping(self):
+        given = {PartClass.WHEEL: (41, 28.7), PartClass.HANDLEBAR: [1.0]}
+        report = VisibilityReport("img", 0, MappingProxyType(given))
+        assert report == VisibilityReport("img", 0, given)
+        assert report.part_contributions == _reference_report_fields(given)[0]
