@@ -14,7 +14,7 @@ from pathlib import Path
 from .classifier import calibrate_thresholds, classify_frame
 from .evaluation import render_confusion, render_summary, summarize
 from .ingest import ParseError, load_config, load_detections, write_reports
-from .model import DEFAULT_CONFIG, BoundingBox, ClassifierConfig, OcclusionMeterError
+from .model import DEFAULT_CONFIG, BoundingBox, ClassifierConfig, OcclusionMeterError, VisibilityReport
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,6 +49,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _batch_json(reports: list[VisibilityReport]) -> str:
+    # json.dumps({"reports": [r.to_dict() ...], "summary": ...}, indent=2) + "\n" byte for byte: the report writer's
+    # text and the summary's (null without reports) nest a level deeper by indenting every line after the first,
+    # as no encoded JSON string holds a raw newline.
+    summary = json.dumps(summarize(reports).to_dict(), indent=2) if reports else "null"
+    fields = f'"reports": {write_reports(reports, "json")},\n"summary": {summary}'
+    return "{\n  " + fields.replace("\n", "\n  ") + "\n}\n"
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not Path(args.dir).is_dir():
@@ -68,11 +77,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     reports = [report for frame in frames for report in classify_frame(frame, config)]
     if args.format == "json":
-        payload = {
-            "reports": [r.to_dict() for r in reports],
-            "summary": summarize(reports).to_dict() if reports else None,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_batch_json(reports), args.out)
         return EXIT_OK
     _emit(write_reports(reports, "csv"), args.out)
     if reports:

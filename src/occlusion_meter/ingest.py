@@ -36,10 +36,12 @@ import json
 import logging
 import math
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .model import (
+    PARTS,
     BoundingBox,
     ClassifierConfig,
     DetectionFrame,
@@ -69,6 +71,21 @@ CSV_HEADER = [
 _CORNER_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max"))
 
 _T = TypeVar("_T")
+
+# A str.format template of one report as json.dumps(indent=2) lays out its to_dict() in the array; every report
+# holds every part, in PARTS order.
+_REPORT_JSON = "\n".join((
+    "  {{",
+    '    "image_id": {},',
+    '    "bicycle_index": {},',
+    '    "part_contributions": {{',
+    ",\n".join(f"      {encode_basestring_ascii(part.value)}: {{}}" for part in PARTS),
+    "    }},",
+    '    "visibility_pct": {},',
+    '    "occlusion_pct": {},',
+    '    "band": {}',
+    "  }}",
+))
 
 
 class ParseError(OcclusionMeterError):
@@ -262,9 +279,30 @@ def reports_to_csv(reports: Sequence[VisibilityReport]) -> str:
     return buffer.getvalue()
 
 
+def _json_floats(values: Sequence[float]) -> str:
+    # One contribution array at the depth it has in a report.
+    return "[\n        " + ",\n        ".join(map(float.__repr__, values)) + "\n      ]" if values else "[]"
+
+
+def _json_report(report: VisibilityReport) -> str:
+    return _REPORT_JSON.format(
+        encode_basestring_ascii(report.image_id), int.__repr__(report.bicycle_index),
+        *map(_json_floats, report.part_contributions.values()),
+        float.__repr__(report.visibility_pct), float.__repr__(report.occlusion_pct),
+        encode_basestring_ascii(report.band.value),
+    )
+
+
 def reports_to_json(reports: Sequence[VisibilityReport]) -> str:
-    """Render reports as a JSON array with full-precision numbers."""
-    return json.dumps([report.to_dict() for report in reports], indent=2)
+    """Render reports as a JSON array with full-precision numbers.
+
+    The text is ``json.dumps([r.to_dict() for r in reports], indent=2)`` byte for byte, but ``indent`` always
+    runs json's pure-Python encoder; here each report is one block of its fixed shape, each scalar through
+    the encoder json uses for it (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``). The
+    constructor leaves no other scalar: finite contributions, a ``str`` id and an ``int`` index.
+    """
+    body = ",\n".join(map(_json_report, reports))
+    return f"[\n{body}\n]" if body else "[]"
 
 
 def reports_from_json(document: bytes | str) -> list[VisibilityReport]:

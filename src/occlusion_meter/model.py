@@ -399,7 +399,9 @@ class VisibilityReport:
     ``PartClass`` order, mapped to a tuple of floats. ``visibility_pct`` is
     those floats added one at a time in that part order, then in the order
     given within each part, clamped to [0, 100]; ``occlusion_pct`` is 100
-    minus it and ``band`` its band. The rule lives only here.
+    minus it and ``band`` its band. The rule lives only here. ``image_id``
+    must be a ``str`` and ``bicycle_index`` a non-negative ``int`` (not a
+    bool), so every report is one ``reports_from_json`` reads back.
     """
 
     image_id: str
@@ -410,6 +412,7 @@ class VisibilityReport:
     band: OcclusionBand = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_identity(self.image_id, self.bicycle_index)
         given = self.part_contributions
         contributions = {part: tuple(map(float, given.get(part, ()))) for part in PARTS}
         if self.bicycle_index < 0:
@@ -455,10 +458,7 @@ class VisibilityReport:
         the contributions, and checks the stated ``visibility_pct`` (to 1e-9), ``occlusion_pct`` and ``band``
         against it. A stated visibility within 1e-9 of the derived one reads as the derived report."""
         image_id, index = data["image_id"], data["bicycle_index"]
-        if not isinstance(image_id, str):
-            raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
-        if type(index) is not int:
-            raise ValueError(f"report field bicycle_index: expected an integer, got {index!r}")
+        _check_identity(image_id, index)
         parts = data["part_contributions"]
         known = isinstance(parts, dict) and set(parts) <= {part.value for part in PartClass}
         if not known or not all(isinstance(values, list) for values in parts.values()):
@@ -479,6 +479,14 @@ class VisibilityReport:
         if band is not report.band:
             raise ValueError(f"report field band: {band.value} is not the band of occlusion_pct {report.occlusion_pct}")
         return report
+
+
+def _check_identity(image_id, index) -> None:
+    # A str id and an exact int index (a bool is not one): the only scalars the JSON writer and reader take there.
+    if not isinstance(image_id, str):
+        raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
+    if type(index) is not int:
+        raise ValueError(f"report field bicycle_index: expected an integer, got {index!r}")
 
 
 def _finite_number(value, key: str) -> float:

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXPECTED_SCENARIOS, INT_DIGIT_LIMIT, random_frame
+from occlusion_meter import cli
 from occlusion_meter.classifier import classify_frame
+from occlusion_meter.evaluation import summarize
 from occlusion_meter.ingest import (
     CSV_HEADER,
     ParseError,
@@ -612,3 +614,68 @@ class TestWriteReports:
         report = next(r for r in scenario_reports if r.image_id == "scenario_a")
         data = json.loads(reports_to_json([report]))
         assert data[0]["visibility_pct"] == report.visibility_pct
+
+
+def _reference_reports_to_json(reports):
+    # ingest.reports_to_json before the fixed-shape writer.
+    return json.dumps([report.to_dict() for report in reports], indent=2)
+
+
+def _reference_batch_json(reports):
+    # cli batch --format json before it nested the report writer's text.
+    payload = {
+        "reports": [r.to_dict() for r in reports],
+        "summary": summarize(reports).to_dict() if reports else None,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Ids json must escape (quotes, backslashes, control and separator characters, a lone surrogate), non-ASCII and
+# astral ids it writes as \u escapes or surrogate pairs, the empty id, and any other text.
+_IMAGE_IDS = st.one_of(
+    st.sampled_from(["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\r\t\b\f", "\u2028\u2029", "\ud800",
+                     "caf\u00e9", "\u81ea\u884c\u8f66", "\U0001f6b2", "\U0010ffff"]),
+    st.text(max_size=8),
+)
+_CONTRIBUTIONS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 41.0, 100.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+)
+_REPORTS = st.builds(
+    model.VisibilityReport,
+    _IMAGE_IDS,
+    st.integers(0, 2**64),
+    st.fixed_dictionaries({part: st.lists(_CONTRIBUTIONS, max_size=n) for part, n in model.PART_LIMITS.items()}),
+)
+
+
+class TestReportWriterReference:
+    """The fixed-shape JSON writer against the json.dumps(indent=2) it replaced, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_REPORTS, max_size=4))
+    def test_reports_to_json_matches_json_dumps(self, reports):
+        text = reports_to_json(reports)
+        assert text == _reference_reports_to_json(reports)
+        assert reports_from_json(text) == reports
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_REPORTS, max_size=4))
+    def test_batch_payload_matches_json_dumps(self, reports):
+        assert cli._batch_json(reports) == _reference_batch_json(reports)
+
+    def test_empty(self):
+        assert reports_to_json([]) == _reference_reports_to_json([]) == "[]"
+        assert cli._batch_json([]) == _reference_batch_json([]) == '{\n  "reports": [],\n  "summary": null\n}\n'
+
+    def test_every_part_count_and_extreme_value(self):
+        values = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+        reports = [
+            model.VisibilityReport(f"r{w}{f}{h}", w + f + h, {
+                PartClass.WHEEL: values[:w], PartClass.FRAME: values[2:2 + f], PartClass.HANDLEBAR: values[3:3 + h],
+            })
+            for w in range(3) for f in range(2) for h in range(2)
+        ]
+        assert reports_to_json(reports) == _reference_reports_to_json(reports)
+        assert cli._batch_json(reports) == _reference_batch_json(reports)

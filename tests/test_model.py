@@ -199,6 +199,26 @@ class TestVisibilityReport:
         with pytest.raises(ValueError, match="^frame contributions must be finite"):
             self._report(part_contributions={PartClass.FRAME: (value,)})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("image_id", 5, "image_id: expected a string, got 5"),
+        ("image_id", None, "image_id: expected a string, got None"),
+        ("image_id", b"img", "image_id: expected a string, got b'img'"),
+        ("bicycle_index", True, "bicycle_index: expected an integer, got True"),
+        ("bicycle_index", False, "bicycle_index: expected an integer, got False"),
+        ("bicycle_index", 1.5, "bicycle_index: expected an integer, got 1.5"),
+        ("bicycle_index", 0.0, "bicycle_index: expected an integer, got 0.0"),
+        ("bicycle_index", "0", "bicycle_index: expected an integer, got '0'"),
+    ])
+    def test_identity_types_as_the_reader_checks_them(self, field, value, message):
+        # A report the constructor accepts is one the JSON reader takes back, with the reader's wording otherwise.
+        with pytest.raises(ValueError) as info:
+            self._report(**{field: value})
+        assert str(info.value) == f"report field {message}"
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^bicycle_index must be non-negative$"):
+            self._report(bicycle_index=-1)
+
     def test_wheel_list_capped_at_two(self):
         with pytest.raises(ValueError, match="too many wheel"):
             self._report(part_contributions={PartClass.WHEEL: (41.0, 41.0, 41.0)})
