@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
-from .classifier import classify_bicycle, classify_frame, occlusion_band
+from .classifier import classify_bicycle, classify_frame
 from .geometry import ConvexPolygon, _bounds, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
     DEFAULT_CONFIG,
@@ -163,7 +163,7 @@ class PartInstance:
         return tuple(s.polygon for s in self.shapes)
 
     def area(self) -> float:
-        return sum(p.area() for p in self.polygons)
+        return ordered_sum(p.area() for p in self.polygons)
 
     @cached_property
     def _bounds(self) -> Rect:
@@ -213,7 +213,7 @@ class BicycleTemplate:
             raise ValueError(f"handlebar top height {top:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
         reference = DEFAULT_CONFIG.area_model
         areas = {inst.slot: inst.area() for inst in self.part_instances()}
-        total = sum(areas.values())
+        total = ordered_sum(areas.values())
         expected = {
             "rear_wheel": reference.wheel_area_cm2 / reference.total_area_cm2,
             "front_wheel": reference.wheel_area_cm2 / reference.total_area_cm2,
@@ -444,12 +444,11 @@ def generate_scene(
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Exact per-part visible fractions and bboxes (None when hidden); VisibilityReport scores their occlusion."""
+class GroundTruth(VisibilityReport):
+    """The report of a scene's exact part contributions, with each part slot's visible fraction and bbox (None when
+    hidden) that the idealized detector reads."""
 
     fractions: Mapping[str, float]
-    visibility_pct: float
-    occlusion_pct: float
     bboxes: Mapping[str, BoundingBox | None] = field(repr=False)
 
 
@@ -482,8 +481,7 @@ def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> Gr
         fraction = min(max(visible / inst.area(), 0.0), 1.0)
         fractions[inst.slot] = fraction
         contributions[inst.part].append(model.share_pct(inst.part) * fraction)
-    report = VisibilityReport(f"synthetic-{scene.seed}", 0, contributions)
-    return GroundTruth(fractions, report.visibility_pct, report.occlusion_pct, bboxes)
+    return GroundTruth(f"synthetic-{scene.seed}", 0, contributions, fractions, bboxes)
 
 
 def simulate_detections(
@@ -518,12 +516,28 @@ def simulate_detections(
 
 @dataclass(frozen=True)
 class EstimatorError:
-    """Estimated vs exact occlusion for one scene."""
+    """One scene's record: its exact truth, the estimator's reports in ``classify_frame`` order (one per group) and
+    the report standing in as the estimate. Every number is read from them; the benchmark reads the four accessors."""
 
-    estimated_occlusion: float
-    exact_occlusion: float
-    estimated_band: OcclusionBand
-    exact_band: OcclusionBand
+    truth: GroundTruth
+    reports: tuple[VisibilityReport, ...]
+    estimate: VisibilityReport
+
+    @property
+    def estimated_occlusion(self) -> float:
+        return self.estimate.occlusion_pct
+
+    @property
+    def exact_occlusion(self) -> float:
+        return self.truth.occlusion_pct
+
+    @property
+    def estimated_band(self) -> OcclusionBand:
+        return self.estimate.band
+
+    @property
+    def exact_band(self) -> OcclusionBand:
+        return self.truth.band
 
     @property
     def band_agreement(self) -> bool:
@@ -543,22 +557,32 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
     """
     config = config or DEFAULT_CONFIG
     truth = ground_truth(scene, config.area_model)
-    reports = classify_frame(simulate_detections(scene, config, truth=truth), config)
-    estimate = reports[0] if reports else classify_bicycle((), config)
-    exact_band = occlusion_band(truth.occlusion_pct)
-    return EstimatorError(estimate.occlusion_pct, truth.occlusion_pct, estimate.band, exact_band)
+    reports = tuple(classify_frame(simulate_detections(scene, config, truth=truth), config))
+    return EstimatorError(truth, reports, reports[0] if reports else classify_bicycle((), config))
 
 
 @dataclass(frozen=True)
 class ExperimentStats:
-    """Aggregate estimator-vs-oracle statistics over a batch of scenes."""
+    """Estimator-vs-oracle statistics over a batch of scene records, derived from the records alone."""
 
-    scene_count: int
-    mean_abs_error: float
-    max_abs_error: float
-    band_agreement_rate: float
-    confusion: "evaluation.BandConfusion"
     results: tuple[EstimatorError, ...] = field(repr=False)
+    scene_count: int = field(init=False)
+    mean_abs_error: float = field(init=False)
+    max_abs_error: float = field(init=False)
+    band_agreement_rate: float = field(init=False)
+    confusion: "evaluation.BandConfusion" = field(init=False)
+
+    def __post_init__(self) -> None:
+        results = self.results
+        if not results:
+            raise ValueError("a batch needs at least one scene")
+        errors = [r.abs_error for r in results]
+        confusion = evaluation.band_confusion([r.estimated_band for r in results], [r.exact_band for r in results])
+        object.__setattr__(self, "scene_count", len(results))
+        object.__setattr__(self, "mean_abs_error", ordered_sum(errors) / len(errors))
+        object.__setattr__(self, "max_abs_error", max(errors))
+        object.__setattr__(self, "band_agreement_rate", confusion.agreement_rate())
+        object.__setattr__(self, "confusion", confusion)
 
     def to_dict(self) -> dict:
         return {
@@ -587,18 +611,8 @@ def run_batch(
     if scene_count <= 0:
         raise ValueError("scene_count must be positive")
     target_rng = random.Random(base_seed)
-    results: list[EstimatorError] = []
+    results = []
     for i in range(scene_count):
         target = coverage_target if coverage_target is not None else target_rng.uniform(0.0, 0.8)
-        scene = generate_scene(base_seed + i, occluder_count, target, template)
-        results.append(estimator_error(scene, config))
-    confusion = evaluation.band_confusion([r.estimated_band for r in results], [r.exact_band for r in results])
-    errors = [r.abs_error for r in results]
-    return ExperimentStats(
-        scene_count=scene_count,
-        mean_abs_error=ordered_sum(errors) / len(errors),
-        max_abs_error=max(errors),
-        band_agreement_rate=confusion.agreement_rate(),
-        confusion=confusion,
-        results=tuple(results),
-    )
+        results.append(estimator_error(generate_scene(base_seed + i, occluder_count, target, template), config))
+    return ExperimentStats(tuple(results))

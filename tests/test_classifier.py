@@ -35,7 +35,7 @@ from occlusion_meter.model import (
     PartClass,
     PartDetection,
 )
-from occlusion_meter.synthetic import run_batch
+from occlusion_meter.synthetic import BicycleTemplate, estimator_error, generate_scene, run_batch
 
 CONFIG = ClassifierConfig()
 S = 2.0**996
@@ -615,8 +615,16 @@ def _compensated_sum(iterable, start=0):
     return total + compensation if compensation and math.isfinite(compensation) else total
 
 
+def _int_only_sum(iterable, start=0):
+    items = list(iterable)
+    if any(type(v) is not int for v in [start, *items]):
+        raise AssertionError(f"sum() over a float term: {items}")
+    return _builtin_sum(items, start)
+
+
 def test_report_and_batch_sums_independent_of_sum(monkeypatch):
     # Both sums are float-noise apart under Python 3.12's compensated sum(); they must stay in-order sums.
+    record = estimator_error(generate_scene(21, 3, 0.4))
     config = ClassifierConfig(wheel_fractions=((0.85, 1.0), (0.6, 0.28), (0.0, 0.08)))
     frame = frame_of(
         det(PartClass.WHEEL, 0, 100, 100, 70),
@@ -627,6 +635,10 @@ def test_report_and_batch_sums_independent_of_sum(monkeypatch):
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert [r.visibility_pct for r in classify_frame(frame, config)] == [32.760000000000005]
     assert run_batch(50, 42).mean_abs_error == 8.76900207546171
+    # The oracle's part areas and the template's area total are in-order sums too: no float reaches sum().
+    monkeypatch.setattr(builtins, "sum", _int_only_sum)
+    BicycleTemplate()
+    assert estimator_error(generate_scene(21, 3, 0.4)) == record
 
 
 class TestCalibration:

@@ -32,6 +32,7 @@ from occlusion_meter.synthetic import (
     WHEEL_SEGMENTS,
     BicycleTemplate,
     Circle,
+    ExperimentStats,
     GroundTruth,
     PartInstance,
     RectShape,
@@ -320,8 +321,8 @@ class TestGroundTruth:
         assert hidden >= 5
 
     def test_bboxes_are_required(self):
-        with pytest.raises(TypeError):
-            GroundTruth(fractions={}, visibility_pct=100.0, occlusion_pct=0.0)
+        with pytest.raises(TypeError, match="bboxes"):
+            GroundTruth("s", 0, {}, fractions={})
 
     def test_occlusion_monotone_as_occluders_added(self):
         rng = random.Random(17)
@@ -511,6 +512,36 @@ class TestEstimatorError:
             worst_drop = max(worst_drop, before.estimated_occlusion - after.estimated_occlusion)
         assert worst_drop <= 41.0 * 0.3 + 1e-9
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_record_equals_itself_on_repeat(self, k):
+        # A repeat must compare equal: the benchmark counts an unequal repeat as a wrong result.
+        for seed in range(20):
+            scene = generate_scene(seed, k, (seed % 9) / 10.0)
+            assert estimator_error(scene) == estimator_error(scene)
+
+    def test_split_scene_keeps_every_report(self):
+        # Seed 169 is the first of the pinned batch's 15 split scenes: run_batch(1000, 42) draws its target 128th.
+        draw = random.Random(42).uniform
+        target = [draw(0.0, 0.8) for _ in range(128)][-1]
+        result = estimator_error(generate_scene(169, 1, target))
+        assert len(result.reports) == 2
+        assert result.estimate is result.reports[0]
+        assert result.reports[0].visibility_pct >= result.reports[1].visibility_pct
+
+    def test_no_report_stands_in_empty_group(self):
+        result = estimator_error(isolated_scene([(0, 0, 640, 640)]))
+        assert result.reports == ()
+        assert result.estimate.occlusion_pct == 100.0
+        assert result.estimate.band is OcclusionBand.SEVERE
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_truth_is_the_scene_ground_truth(self, k):
+        scene = generate_scene(21, k, 0.45)
+        result = estimator_error(scene)
+        assert result.exact_band is result.truth.band
+        assert result.truth == ground_truth(scene)
+        assert result.exact_occlusion == result.truth.occlusion_pct
+
 
 class TestRunBatch:
     def test_deterministic(self):
@@ -532,6 +563,14 @@ class TestRunBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             run_batch(0, 1)
+
+    def test_stats_derived_from_records(self):
+        stats = run_batch(40, 11)
+        assert ExperimentStats(stats.results).to_dict() == stats.to_dict()
+
+    def test_stats_reject_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one scene"):
+            ExperimentStats(())
 
 
 class TestLoopReferences:
