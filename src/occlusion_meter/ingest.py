@@ -23,9 +23,9 @@ Report output comes in two shapes: a CSV table with one-decimal percentages
 for human eyes, and a JSON array with full-precision numbers that
 round-trips losslessly through ``reports_from_json``.
 
-Every JSON document read here (detector output, a config, a report array)
-goes through ``_decode``, so each decode failure is a ``ParseError``, and
-every file through ``_read``, so that error names the file first.
+Every JSON document the package reads (detector output, a config, a report
+array) goes through ``_decode``, so each decode failure is a ``ParseError``,
+and every file through ``_read``, so that error names the file first.
 """
 
 from __future__ import annotations
@@ -312,12 +312,14 @@ def reports_from_json(document: bytes | str) -> list[VisibilityReport]:
         raise ParseError("top level must be an array of report objects")
     reports = []
     for index, item in enumerate(data):
-        try:
+        if not isinstance(item, dict):
+            raise ParseError("expected an object", f"[{index}]")
+        try:  # from_dict raises only these for an object; anything else is a bug, not an input error
             reports.append(VisibilityReport.from_dict(item))
-        except KeyError as exc:  # only an object can lack a key
+        except KeyError as exc:
             raise ParseError(f"missing required field: {exc.args[0]}", f"[{index}]") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(str(exc) if isinstance(item, dict) else "expected an object", f"[{index}]") from None
+        except ValueError as exc:
+            raise ParseError(str(exc), f"[{index}]") from None
     return reports
 
 

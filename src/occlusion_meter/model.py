@@ -401,9 +401,11 @@ class VisibilityReport:
     given within each part, clamped to [0, 100]; ``occlusion_pct`` is 100
     minus it and ``band`` its band. The rule lives only here. ``image_id``
     must be a ``str`` and ``bicycle_index`` a non-negative ``int`` (not a
-    bool), so every report is one ``reports_from_json`` reads back.
+    bool), so every report is one ``reports_from_json`` reads back. Reports
+    compare by value but are unhashable: a table keys on their signatures.
     """
 
+    __hash__ = None
     image_id: str
     bicycle_index: int
     part_contributions: Mapping[PartClass, Sequence[float]]

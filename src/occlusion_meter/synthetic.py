@@ -249,20 +249,6 @@ class BicycleTemplate:
             PartInstance("handlebar", PartClass.HANDLEBAR, (RectShape(*self.handlebar_rect),)),
         ]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BicycleTemplate":
-        return cls(
-            wheel_radius=float(data["wheel_radius"]),
-            wheelbase=float(data["wheelbase"]),
-            frame_triangles=tuple(
-                tuple(tuple(float(c) for c in p) for p in tri) for tri in data["frame_triangles"]
-            ),
-            handlebar_rect=tuple(float(c) for c in data["handlebar_rect"]),
-        )
-
 
 # Validated once; generate_scene uses it when no template is given.
 _DEFAULT_TEMPLATE = BicycleTemplate()
@@ -270,7 +256,8 @@ _DEFAULT_TEMPLATE = BicycleTemplate()
 
 @dataclass(frozen=True)
 class Scene:
-    """A placed bicycle plus occluder rectangles, all in pixel coordinates."""
+    """A placed bicycle plus occluder rectangles, all in pixel coordinates. ``to_json()`` is its fingerprint, and
+    there is no reader: ``generate_scene(seed, occluder_count, coverage_target, template)`` rebuilds a scene."""
 
     template: BicycleTemplate
     scale: float
@@ -309,21 +296,6 @@ class Scene:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Scene":
-        return cls(
-            template=BicycleTemplate.from_dict(data["template"]),
-            scale=float(data["scale"]),
-            origin=tuple(data["origin"]),
-            occluders=tuple(tuple(r) for r in data["occluders"]),
-            seed=int(data["seed"]),
-            canvas=tuple(data.get("canvas", (CANVAS_SIZE, CANVAS_SIZE))),
-        )
-
-    @classmethod
-    def from_json(cls, document: str | bytes) -> "Scene":
-        return cls.from_dict(json.loads(document))
 
 
 def _linspace(a: float, b: float, n: int) -> list[float]:
@@ -448,6 +420,7 @@ class GroundTruth(VisibilityReport):
     """The report of a scene's exact part contributions, with each part slot's visible fraction and bbox (None when
     hidden) that the idealized detector reads."""
 
+    __hash__ = None  # as the report's: this @dataclass would generate a hash over the dict fields again
     fractions: Mapping[str, float]
     bboxes: Mapping[str, BoundingBox | None] = field(repr=False)
 

@@ -461,6 +461,15 @@ class TestReportsFromJson:
         error = self.parse_error([item, [1, 2]])
         assert (error.path, str(error)) == ("[1]", "[1]: expected an object")
 
+    def test_a_reader_bug_is_not_an_input_error(self, item, monkeypatch):
+        # For an object the reader raises only KeyError and ValueError; anything else is an internal error.
+        def broken(data):
+            raise TypeError("bug in the reader")
+
+        monkeypatch.setattr(model.VisibilityReport, "from_dict", broken)
+        with pytest.raises(TypeError, match="^bug in the reader$"):
+            reports_from_json(json.dumps([item]))
+
     def test_missing_field(self, item):
         del item["band"]
         error = self.parse_error([item])
