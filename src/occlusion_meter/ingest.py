@@ -1,4 +1,4 @@
-"""Parsing of detector-output JSON and serialization of visibility reports.
+"""The package's JSON reader (detector output, configs, reports) and its report writers.
 
 The canonical input document mirrors the common detection-workflow export:
 
@@ -25,12 +25,20 @@ round-trips losslessly through ``reports_from_json``.
 
 Every JSON document the package reads (detector output, a config, a report
 array) goes through ``_decode``, so each decode failure is a ``ParseError``,
-and every file through ``_read``, so that error names the file first.
+and every file through ``_read``, so that error names the file first. Every
+number goes through ``_finite``, the one definition of a JSON number here,
+and every other bad value is a ``ParseError`` naming its JSON path
+(``area_model.wheel_share_pct``, ``wheel_fractions[1][0]``,
+``[3].part_contributions.wheel[1]``). A config or report reads as its type's
+constructor builds it; an invariant the constructor checks (``model.py``,
+in its own words) is a ``ParseError`` at the path of that object. The report
+reader takes exactly the fields ``reports_to_json`` writes.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -49,6 +57,7 @@ from .model import (
     OcclusionMeterError,
     PartClass,
     PartDetection,
+    SurfaceAreaModel,
     UnknownPartLabelError,
     VisibilityReport,
     mark_validated,
@@ -89,7 +98,7 @@ _REPORT_JSON = "\n".join((
 
 
 class ParseError(OcclusionMeterError):
-    """A detection document could not be parsed.
+    """A JSON document could not be read.
 
     Attributes:
         path: location of the offending value inside the document, e.g.
@@ -120,11 +129,15 @@ def _read(path: str | Path, parse: Callable[[bytes], _T]) -> _T:
         raise ParseError(str(exc), path=str(path)) from None
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _absent(mapping, key: str, path: str) -> ParseError:
     # The error for ``mapping[key]`` when ``mapping`` is not an object or lacks ``key``.
     if not isinstance(mapping, dict):  # the decoder makes every object a dict
         return ParseError("expected an object", path)
-    return ParseError(f"missing required field: {path}.{key}" if path else f"missing required field: {key}")
+    return ParseError(f"missing required field: {_join(path, key)}")
 
 
 def _require(mapping, key: str, path: str):
@@ -137,20 +150,14 @@ def _point_path(path: str, point: int | None) -> str:
     return path if point is None else f"{path}.points[{point}]"
 
 
-def _number(mapping, key: str, path: str, point: int | None = None) -> float:
-    """``mapping[key]`` as a finite float.
+def _finite(value, path: str) -> float:
+    """``value`` as a finite float: the one definition of a JSON number here.
 
-    Checks, in order: ``mapping`` is an object, it holds ``key``, the value is
-    a JSON number, and it is finite. The decoder makes every JSON number an
-    exact ``int`` or ``float``, so the exact type decides: anything else, a
-    bool included, is not a number, and an int past the float range reads as
-    inf. ``path`` locates ``mapping`` (``point`` adds ``.points[point]``); it
-    is formatted into a path only when raising, so a valid number builds no
-    string.
+    The decoder makes every JSON number an exact ``int`` or ``float``, so the
+    exact type decides: anything else, a bool included, is not a number, and
+    an int past the float range reads as inf. ``path`` names the value in the
+    ParseError.
     """
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise _absent(mapping, key, _point_path(path, point))
-    value = mapping[key]
     kind = type(value)
     if kind is float:
         number = value
@@ -160,10 +167,25 @@ def _number(mapping, key: str, path: str, point: int | None = None) -> float:
         except OverflowError:
             number = math.inf
     else:
-        raise ParseError(f"expected a number, got {value!r}", f"{_point_path(path, point)}.{key}")
+        raise ParseError(f"expected a number, got {value!r}", path)
     if not math.isfinite(number):
-        raise ParseError(f"expected a finite number, got {value!r}", f"{_point_path(path, point)}.{key}")
+        raise ParseError(f"expected a finite number, got {value!r}", path)
     return number
+
+
+def _number(mapping, key: str, path: str, point: int | None = None) -> float:
+    """``mapping[key]`` as ``_finite`` reads it, after checking that ``mapping`` is an object holding ``key``.
+
+    ``path`` locates ``mapping`` (``point`` adds ``.points[point]``). A finite
+    float, as the decoder makes nearly every detection number, is returned
+    inline, so it costs no call and builds no path string.
+    """
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise _absent(mapping, key, _point_path(path, point))
+    value = mapping[key]
+    if type(value) is float and math.isfinite(value):
+        return value
+    return _finite(value, f"{_point_path(path, point)}.{key}")
 
 
 def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | None:
@@ -255,12 +277,56 @@ def load_detections(path: str | Path, *, permissive: bool = False) -> DetectionF
     return _read(path, partial(parse_detections, permissive=permissive))
 
 
-def _parse_config(document: bytes) -> ClassifierConfig:
-    data = _decode(document)
+def _built(cls: Callable[..., _T], path: str, *args, **kwargs) -> _T:
+    # ``cls(*args, **kwargs)``; an invariant its constructor checks is a ParseError at ``path``.
     try:
-        return ClassifierConfig.from_dict(data)
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), path) from None
+
+
+def _object(value, path: str, names) -> dict:
+    # ``value`` as a JSON object whose every key is in ``names``; the first other key is named.
+    if not isinstance(value, dict):
+        raise ParseError("expected an object", path)
+    for key in value:
+        if key not in names:
+            raise ParseError("unknown field", _join(path, key))
+    return value
+
+
+def _array(value, path: str, read: Callable[[object, str], _T] = _finite) -> tuple[_T, ...]:
+    # ``value`` as a JSON array, each item through ``read`` at its own path.
+    if not isinstance(value, list):
+        raise ParseError("expected an array", path)
+    return tuple(read(item, f"{path}[{index}]") for index, item in enumerate(value))
+
+
+def _pair(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError("expected a [ratio, fraction] pair", path)
+    return _array(value, path)
+
+
+def _fields(cls: Callable[..., _T], value, path: str, read: dict) -> _T:
+    # ``cls`` from the JSON object ``value`` at ``path``; each field through its ``read`` entry or ``_finite``, and a
+    # missing field keeps its default.
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = {key: read.get(key, _finite)(item, _join(path, key)) for key, item in _object(value, path, names).items()}
+    return _built(cls, path, **values)
+
+
+_CONFIG_READERS = {
+    "wheel_fractions": partial(_array, read=_pair),
+    "area_model": partial(_fields, SurfaceAreaModel, read={}),
+}
+
+
+def _parse_config(document: bytes | str) -> ClassifierConfig:
+    data = _decode(document)
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object")
+    return _fields(ClassifierConfig, data, "", _CONFIG_READERS)
 
 
 def load_config(path: str | Path) -> ClassifierConfig:
@@ -305,22 +371,40 @@ def reports_to_json(reports: Sequence[VisibilityReport]) -> str:
     return f"[\n{body}\n]" if body else "[]"
 
 
+_REPORT_KEYS = frozenset(f.name for f in dataclasses.fields(VisibilityReport))
+_PART_KEYS = frozenset(part.value for part in PARTS)
+
+
+def _report(item, path: str) -> VisibilityReport:
+    # One object as reports_to_json writes it, each part optional. The report is built from the contributions, and the
+    # stated numbers and band are checked against it; a visibility within 1e-9 of the derived one reads as it.
+    _object(item, path, _REPORT_KEYS)
+    where = f"{path}.part_contributions"
+    parts = _object(_require(item, "part_contributions", path), where, _PART_KEYS)
+    contributions = {PartClass(part): _array(values, f"{where}.{part}") for part, values in parts.items()}
+    report = _built(
+        VisibilityReport, path, _require(item, "image_id", path), _require(item, "bicycle_index", path), contributions
+    )
+    visibility = _number(item, "visibility_pct", path)
+    if abs(visibility - report.visibility_pct) > 1e-9:
+        raise ParseError(f"{visibility} is not the contributions' clamped sum {report.visibility_pct}",
+                         f"{path}.visibility_pct")
+    occlusion = _number(item, "occlusion_pct", path)
+    if abs(visibility + occlusion - 100.0) > 1e-9:
+        raise ParseError(f"visibility + occlusion must equal 100, got {visibility} + {occlusion}",
+                         f"{path}.occlusion_pct")
+    band = _require(item, "band", path)
+    if band != report.band.value:
+        raise ParseError(f"{band!r} is not the band of occlusion_pct {report.occlusion_pct}", f"{path}.band")
+    return report
+
+
 def reports_from_json(document: bytes | str) -> list[VisibilityReport]:
-    """Inverse of ``reports_to_json``, reproducing the reports exactly; a bad item is a ParseError at ``[i]``."""
+    """Inverse of ``reports_to_json``, reproducing the reports exactly; a ParseError names the bad field's path."""
     data = _decode(document)
     if not isinstance(data, list):
         raise ParseError("top level must be an array of report objects")
-    reports = []
-    for index, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise ParseError("expected an object", f"[{index}]")
-        try:  # from_dict raises only these for an object; anything else is a bug, not an input error
-            reports.append(VisibilityReport.from_dict(item))
-        except KeyError as exc:
-            raise ParseError(f"missing required field: {exc.args[0]}", f"[{index}]") from None
-        except ValueError as exc:
-            raise ParseError(str(exc), f"[{index}]") from None
-    return reports
+    return [_report(item, f"[{index}]") for index, item in enumerate(data)]
 
 
 def write_reports(reports: Sequence[VisibilityReport], format: str = "csv") -> str:

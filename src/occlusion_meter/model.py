@@ -16,6 +16,10 @@ prediction, and both mark the frame they return (``DetectionFrame.validated``).
 Configuration types (``SurfaceAreaModel``, ``ClassifierConfig``) are built by
 humans, so they validate eagerly; ``DEFAULT_CONFIG`` is the one default.
 
+This module holds types and their invariants and reads no JSON: ``ingest``
+reads config and report documents, and raises a constructor's ``ValueError``
+as a ``ParseError`` at the path of the object it was building.
+
 All types are immutable after construction and safe to share across workers.
 No raster data is ever stored here.
 """
@@ -23,7 +27,7 @@ No raster data is ever stored here.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from itertools import chain
 from typing import Mapping, Sequence
@@ -88,14 +92,6 @@ class OcclusionBand(str, Enum):
     PARTIAL = "partial"
     HEAVY = "heavy"
     SEVERE = "severe"
-
-    @classmethod
-    def from_label(cls, label: str) -> "OcclusionBand":
-        normalized = str(label).strip().lower()
-        try:
-            return cls(normalized)
-        except ValueError:
-            raise ValueError(f"unknown occlusion band: {label}") from None
 
 
 def occlusion_band(occlusion_pct: float) -> OcclusionBand:
@@ -235,33 +231,6 @@ class DetectionFrame:
         return self.__dict__.get("_validated", False)
 
 
-def json_number(value) -> float:
-    """A JSON number (not a bool) as a float, possibly non-finite; ValueError for any other type."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the float range
-        return math.inf if value > 0 else -math.inf
-
-
-def _from_fields(cls, data: Mapping, what: str, convert: Mapping):
-    # Build ``cls`` from a JSON object, each value through its ``convert``
-    # entry or ``json_number``; ``cls`` checks the values.
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    values = {}
-    for key, value in data.items():
-        try:
-            values[key] = convert.get(key, json_number)(value)
-        except ValueError as exc:
-            raise ValueError(f"{what} field {key}: {exc}") from None
-    return cls(**values)
-
-
 @dataclass(frozen=True)
 class SurfaceAreaModel:
     """Reference physical areas and percentage shares per bicycle part.
@@ -302,10 +271,6 @@ class SurfaceAreaModel:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SurfaceAreaModel":
-        return _from_fields(cls, data, "area model", {})
 
 
 @dataclass(frozen=True)
@@ -361,21 +326,9 @@ class ClassifierConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClassifierConfig":
-        """Build a config from a JSON object; missing fields keep defaults, errors name the field."""
-        convert = {"wheel_fractions": _wheel_pairs, "area_model": SurfaceAreaModel.from_dict}
-        return _from_fields(cls, data, "config", convert)
-
 
 # The default config, built and validated once; frozen, so every default use shares it.
 DEFAULT_CONFIG = ClassifierConfig()
-
-
-def _wheel_pairs(value) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, (list, tuple)) or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
-        raise ValueError(f"expected a list of [ratio, fraction] pairs, got {value!r}")
-    return tuple((json_number(t), json_number(f)) for t, f in value)
 
 
 # How many detections of each class one bicycle instance may hold.
@@ -414,7 +367,11 @@ class VisibilityReport:
     band: OcclusionBand = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_identity(self.image_id, self.bicycle_index)
+        # A str id and an exact int index (a bool is not one): the only scalars the JSON writer and reader take there.
+        if not isinstance(self.image_id, str):
+            raise ValueError(f"report field image_id: expected a string, got {self.image_id!r}")
+        if type(self.bicycle_index) is not int:
+            raise ValueError(f"report field bicycle_index: expected an integer, got {self.bicycle_index!r}")
         given = self.part_contributions
         contributions = {part: tuple(map(float, given.get(part, ()))) for part in PARTS}
         if self.bicycle_index < 0:
@@ -453,53 +410,6 @@ class VisibilityReport:
             "occlusion_pct": self.occlusion_pct,
             "band": self.band.value,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "VisibilityReport":
-        """Inverse of ``to_dict``: checks each field's JSON type instead of converting it, builds the report from
-        the contributions, and checks the stated ``visibility_pct`` (to 1e-9), ``occlusion_pct`` and ``band``
-        against it. A stated visibility within 1e-9 of the derived one reads as the derived report."""
-        image_id, index = data["image_id"], data["bicycle_index"]
-        _check_identity(image_id, index)
-        parts = data["part_contributions"]
-        known = isinstance(parts, dict) and set(parts) <= {part.value for part in PartClass}
-        if not known or not all(isinstance(values, list) for values in parts.values()):
-            raise ValueError(f"report field part_contributions: expected an object of arrays by part, got {parts!r}")
-        contributions = {
-            PartClass(key): tuple(_finite_number(v, f"part_contributions.{key}") for v in values)
-            for key, values in parts.items()
-        }
-        visibility = _finite_number(data["visibility_pct"], "visibility_pct")
-        occlusion = _finite_number(data["occlusion_pct"], "occlusion_pct")
-        band = OcclusionBand.from_label(data["band"])
-        report = cls(image_id, index, contributions)
-        if abs(visibility - report.visibility_pct) > 1e-9:
-            raise ValueError(f"report field visibility_pct: {visibility} is not the contributions' clamped sum "
-                             f"{report.visibility_pct}")
-        if abs(visibility + occlusion - 100.0) > 1e-9:
-            raise ValueError(f"visibility + occlusion must equal 100, got {visibility} + {occlusion}")
-        if band is not report.band:
-            raise ValueError(f"report field band: {band.value} is not the band of occlusion_pct {report.occlusion_pct}")
-        return report
-
-
-def _check_identity(image_id, index) -> None:
-    # A str id and an exact int index (a bool is not one): the only scalars the JSON writer and reader take there.
-    if not isinstance(image_id, str):
-        raise ValueError(f"report field image_id: expected a string, got {image_id!r}")
-    if type(index) is not int:
-        raise ValueError(f"report field bicycle_index: expected an integer, got {index!r}")
-
-
-def _finite_number(value, key: str) -> float:
-    # A finite JSON number (an int or a float, not a bool) as a float; a ValueError naming ``key`` otherwise.
-    try:
-        number = json_number(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"report field {key}: expected a finite number, got {value!r}")
-    return number
 
 
 def _polygon_normalized(polygon, width: float, height: float) -> bool:

@@ -54,23 +54,32 @@ def scenario_reports(scenario_frames):
     return reports
 
 
-# Config documents of the wrong shape, each with the field its error must name.
+# Config documents of the wrong shape, each with the start of its error, which names the JSON path of the first bad
+# value (or, for a document that is not a config object, what is wrong with it).
 BAD_CONFIGS = [
-    ('{"confidence_threshold": null}', "confidence_threshold"),
-    ('{"confidence_threshold": "0.5"}', "confidence_threshold"),
-    ('{"detectability_floor": true}', "detectability_floor"),
-    ('{"grouping_distance_factor": 1e999}', "grouping_distance_factor"),
-    ('{"grouping_distance_factor": 1' + "0" * 400 + "}", "grouping_distance_factor"),
-    ('{"wheel_fractions": 5}', "wheel_fractions"),
-    ('{"wheel_fractions": [[0.85, 1.0], [0.0]]}', "wheel_fractions"),
-    ('{"wheel_fractions": [[1.0, 1.0], [0.0, NaN]]}', "wheel_fractions"),
-    ('{"area_model": 3}', "area_model"),
-    ('{"area_model": {"wheel_share_pct": null}}', "wheel_share_pct"),
-    ('{"area_model": {"wheel_area_cm2": Infinity, "total_area_cm2": Infinity}}', "total_area_cm2"),
-    ("[0.5]", "config must be an object"),
-    ('{"nope": 1}', "unknown config fields"),
-    ("{", "Expecting property name"),
-] + ([('{"confidence_threshold": 1' + "0" * INT_DIGIT_LIMIT + "}", "Exceeds the limit")] if INT_DIGIT_LIMIT else [])
+    ('{"confidence_threshold": null}', "confidence_threshold: expected a number, got None"),
+    ('{"confidence_threshold": "0.5"}', "confidence_threshold: expected a number, got '0.5'"),
+    ('{"detectability_floor": true}', "detectability_floor: expected a number, got True"),
+    ('{"grouping_distance_factor": 1e999}', "grouping_distance_factor: expected a finite number, got inf"),
+    ('{"grouping_distance_factor": 1' + "0" * 400 + "}", "grouping_distance_factor: expected a finite number, got 1"),
+    ('{"wheel_fractions": 5}', "wheel_fractions: expected an array"),
+    ('{"wheel_fractions": [[0.85, 1.0], [0.0]]}', "wheel_fractions[1]: expected a [ratio, fraction] pair"),
+    ('{"wheel_fractions": [[1.0, 1.0], [0.0, NaN]]}', "wheel_fractions[1][1]: expected a finite number, got nan"),
+    # A non-finite value names its own path, not the field whose check it would fail next (the last threshold, the
+    # total area, the share sum).
+    ('{"wheel_fractions": [[0.85, 1.0], [NaN, 0.4]]}', "wheel_fractions[1][0]: expected a finite number, got nan"),
+    ('{"area_model": {"wheel_area_cm2": 1e999}}', "area_model.wheel_area_cm2: expected a finite number, got inf"),
+    ('{"area_model": {"frame_share_pct": NaN}}', "area_model.frame_share_pct: expected a finite number, got nan"),
+    ('{"area_model": 3}', "area_model: expected an object"),
+    ('{"area_model": {"wheel_share_pct": null}}', "area_model.wheel_share_pct: expected a number, got None"),
+    ('{"area_model": {"wheel_area_cm2": Infinity, "total_area_cm2": Infinity}}',
+     "area_model.wheel_area_cm2: expected a finite number, got inf"),
+    ('{"area_model": {"bogus": 1}}', "area_model.bogus: unknown field"),
+    ("[0.5]", "top level must be an object"),
+    ('{"nope": 1}', "nope: unknown field"),
+    ("{", "malformed JSON: Expecting property name"),
+] + ([('{"confidence_threshold": 1' + "0" * INT_DIGIT_LIMIT + "}", "malformed JSON: Exceeds the limit")]
+     if INT_DIGIT_LIMIT else [])
 BAD_CONFIG_IDS = [document[:40] for document, _ in BAD_CONFIGS]
 
 

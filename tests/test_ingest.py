@@ -24,7 +24,7 @@ from occlusion_meter.ingest import (
     reports_to_json,
     write_reports,
 )
-from occlusion_meter import model
+from occlusion_meter import ingest, model
 from occlusion_meter.model import PartClass, validate_frame
 
 
@@ -462,92 +462,110 @@ class TestReportsFromJson:
         assert (error.path, str(error)) == ("[1]", "[1]: expected an object")
 
     def test_a_reader_bug_is_not_an_input_error(self, item, monkeypatch):
-        # For an object the reader raises only KeyError and ValueError; anything else is an internal error.
-        def broken(data):
+        # The reader turns only its own input checks and the constructor's ValueError into a ParseError.
+        def broken(*args):
             raise TypeError("bug in the reader")
 
-        monkeypatch.setattr(model.VisibilityReport, "from_dict", broken)
+        monkeypatch.setattr(ingest, "_object", broken)
         with pytest.raises(TypeError, match="^bug in the reader$"):
             reports_from_json(json.dumps([item]))
 
     def test_missing_field(self, item):
         del item["band"]
         error = self.parse_error([item])
-        assert (error.path, str(error)) == ("[0]", "[0]: missing required field: band")
+        assert (error.path, str(error)) == ("", "missing required field: [0].band")
 
-    def test_unknown_band(self, item):
-        error = self.parse_error([item, dict(item, band="hidden")])
-        assert (error.path, str(error)) == ("[1]", "[1]: unknown occlusion band: hidden")
+    def test_unknown_field(self, item):
+        # The reader takes only what reports_to_json writes.
+        error = self.parse_error([item, dict(item, bogus=1)])
+        assert (error.path, str(error)) == ("[1].bogus", "[1].bogus: unknown field")
 
-    @pytest.mark.parametrize("field, value", [
-        ("part_contributions", [1]),
-        ("part_contributions", {"pedal": [1.0]}),
-        ("part_contributions", {"wheel": 5}),
-        ("bicycle_index", None),
-        ("bicycle_index", 1e308 * 10),
-        ("visibility_pct", "high"),
+    @pytest.mark.parametrize("band", ["hidden", " PARTIAL ", "Partial", "partial ", None, ["partial"]])
+    def test_band_is_the_derived_band_as_written(self, item, band):
+        error = self.parse_error([item, dict(item, band=band)])
+        message = f"{band!r} is not the band of occlusion_pct {item['occlusion_pct']}"
+        assert (error.path, str(error)) == ("[1].band", f"[1].band: {message}")
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("part_contributions", [1], "[0].part_contributions"),
+        ("part_contributions", {"pedal": [1.0]}, "[0].part_contributions.pedal"),
+        ("part_contributions", {"wheel": 5}, "[0].part_contributions.wheel"),
+        ("bicycle_index", None, "[0]"),
+        ("bicycle_index", 1e308 * 10, "[0]"),
+        ("visibility_pct", "high", "[0].visibility_pct"),
     ])
-    def test_bad_value(self, item, field, value):
-        assert self.parse_error([dict(item, **{field: value})]).path == "[0]"
+    def test_bad_value(self, item, field, value, path):
+        assert self.parse_error([dict(item, **{field: value})]).path == path
 
     def test_top_level_must_be_an_array(self, item):
         assert str(self.parse_error(item)) == "top level must be an array of report objects"
 
     @pytest.mark.parametrize("field, value, message", [
-        ("image_id", 5, "image_id: expected a string, got 5"),
-        ("image_id", None, "image_id: expected a string, got None"),
-        ("bicycle_index", 1.9, "bicycle_index: expected an integer, got 1.9"),
-        ("bicycle_index", 0.0, "bicycle_index: expected an integer, got 0.0"),
-        ("bicycle_index", True, "bicycle_index: expected an integer, got True"),
-        ("visibility_pct", "87.7", "visibility_pct: expected a finite number, got '87.7'"),
-        ("visibility_pct", False, "visibility_pct: expected a finite number, got False"),
-        ("visibility_pct", math.inf, "visibility_pct: expected a finite number, got inf"),
-        ("occlusion_pct", "12.3", "occlusion_pct: expected a finite number, got '12.3'"),
-        ("occlusion_pct", math.nan, "occlusion_pct: expected a finite number, got nan"),
-        ("part_contributions", {"wheel": ["41.0"]}, "part_contributions.wheel: expected a finite number, got '41.0'"),
-        ("part_contributions", {"frame": [True]}, "part_contributions.frame: expected a finite number, got True"),
+        ("image_id", 5, "[1]: report field image_id: expected a string, got 5"),
+        ("image_id", None, "[1]: report field image_id: expected a string, got None"),
+        ("bicycle_index", 1.9, "[1]: report field bicycle_index: expected an integer, got 1.9"),
+        ("bicycle_index", 0.0, "[1]: report field bicycle_index: expected an integer, got 0.0"),
+        ("bicycle_index", True, "[1]: report field bicycle_index: expected an integer, got True"),
+        ("visibility_pct", "87.7", "[1].visibility_pct: expected a number, got '87.7'"),
+        ("visibility_pct", False, "[1].visibility_pct: expected a number, got False"),
+        ("visibility_pct", math.inf, "[1].visibility_pct: expected a finite number, got inf"),
+        ("occlusion_pct", "12.3", "[1].occlusion_pct: expected a number, got '12.3'"),
+        ("occlusion_pct", math.nan, "[1].occlusion_pct: expected a finite number, got nan"),
+        ("part_contributions", {"wheel": [41.0, "41.0"]},
+         "[1].part_contributions.wheel[1]: expected a number, got '41.0'"),
+        ("part_contributions", {"frame": [True]}, "[1].part_contributions.frame[0]: expected a number, got True"),
         ("part_contributions", {"handlebar": [-math.inf]},
-         "part_contributions.handlebar: expected a finite number, got -inf"),
+         "[1].part_contributions.handlebar[0]: expected a finite number, got -inf"),
     ])
     def test_checks_field_types_instead_of_converting(self, item, field, value, message):
+        # The id and index are the constructor's checks, at the report's path; every other value names its own.
         error = self.parse_error([item, dict(item, **{field: value})])
-        assert error.path == "[1]"
-        assert str(error) == f"[1]: report field {message}"
+        assert (error.path, str(error)) == (message.split(":")[0], message)
 
-    @pytest.mark.parametrize("value", [[1], {"wheel": 5}, {"saddle": [1.0]}])
-    def test_part_contributions_must_be_arrays_keyed_by_part(self, item, value):
+    @pytest.mark.parametrize("value, path, message", [
+        ([1], "[1].part_contributions", "expected an object"),
+        ({"wheel": 5}, "[1].part_contributions.wheel", "expected an array"),
+        ({"saddle": [1.0]}, "[1].part_contributions.saddle", "unknown field"),
+    ])
+    def test_part_contributions_must_be_arrays_keyed_by_part(self, item, value, path, message):
         error = self.parse_error([item, dict(item, part_contributions=value)])
-        message = f"report field part_contributions: expected an object of arrays by part, got {value!r}"
-        assert (error.path, str(error)) == ("[1]", f"[1]: {message}")
+        assert (error.path, str(error)) == (path, f"{path}: {message}")
 
     def test_band_must_be_the_band_of_the_occlusion(self, item):
         full = {"wheel": [41.0, 41.0], "frame": [17.0], "handlebar": [1.0]}
         contradictory = dict(item, part_contributions=full, visibility_pct=100.0, occlusion_pct=0.0, band="severe")
         error = self.parse_error([item, contradictory])
-        message = "report field band: severe is not the band of occlusion_pct 0.0"
-        assert (error.path, str(error)) == ("[1]", f"[1]: {message}")
-        assert str(self.parse_error([dict(item, band="heavy")])).startswith("[0]: report field band: heavy")
+        message = "'severe' is not the band of occlusion_pct 0.0"
+        assert (error.path, str(error)) == ("[1].band", f"[1].band: {message}")
+        assert str(self.parse_error([dict(item, band="heavy")])).startswith("[0].band: 'heavy'")
 
     def test_visibility_must_be_the_clamped_contribution_sum(self, item):
         total = item["visibility_pct"]
         for visibility in (total + 2e-9, total - 2e-9, 0.0):
             off = dict(item, visibility_pct=visibility, occlusion_pct=100.0 - visibility)
             error = self.parse_error([off])
-            assert (error.path, "visibility_pct" in str(error)) == ("[0]", True)
+            message = f"{visibility} is not the contributions' clamped sum {total}"
+            assert (error.path, str(error)) == ("[0].visibility_pct", f"[0].visibility_pct: {message}")
         near = dict(item, visibility_pct=total + 5e-10, occlusion_pct=100.0 - (total + 5e-10))
         assert reports_from_json(json.dumps([near]))[0].visibility_pct == total
 
     def test_occlusion_must_complement_visibility(self, item):
         off = dict(item, occlusion_pct=item["occlusion_pct"] + 2e-9)
         message = f"visibility + occlusion must equal 100, got {item['visibility_pct']} + {off['occlusion_pct']}"
-        assert str(self.parse_error([off])) == f"[0]: {message}"
+        assert str(self.parse_error([off])) == f"[0].occlusion_pct: {message}"
+
+    def test_constructor_invariants_are_at_the_report_path(self, item):
+        error = self.parse_error([item, dict(item, part_contributions={"wheel": [1.0, 2.0, 3.0]})])
+        assert (error.path, str(error)) == ("[1]", "[1]: too many wheel contributions: 3 (max 2)")
+        error = self.parse_error([dict(item, bicycle_index=-1)])
+        assert (error.path, str(error)) == ("[0]", "[0]: bicycle_index must be non-negative")
 
     def test_band_is_checked_against_the_derived_report(self, item):
         # The stated numbers are within 1e-9 of the derived ones but fall on the other side of the 10 % boundary.
         near = dict(item, part_contributions={"frame": [90.0]}, visibility_pct=90.0 + 5e-10)
         near.update(occlusion_pct=100.0 - near["visibility_pct"], band="low_or_none")
-        message = "report field band: low_or_none is not the band of occlusion_pct 10.0"
-        assert str(self.parse_error([near])) == f"[0]: {message}"
+        message = "'low_or_none' is not the band of occlusion_pct 10.0"
+        assert str(self.parse_error([near])) == f"[0].band: {message}"
         report = reports_from_json(json.dumps([dict(near, band="partial")]))[0]
         assert (report.visibility_pct, report.occlusion_pct, report.band.value) == (90.0, 10.0, "partial")
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import BAD_CONFIG_IDS, BAD_CONFIGS
 
+from occlusion_meter import ingest
+from occlusion_meter.ingest import ParseError, _parse_config, reports_from_json, reports_to_json
 from occlusion_meter.model import (
     POLYGON_BBOX_TOLERANCE,
     BoundingBox,
@@ -106,9 +108,11 @@ class TestSurfaceAreaModel:
         with pytest.raises(ValueError, match="sum to 100"):
             SurfaceAreaModel(wheel_share_pct=40.0)
 
-    def test_roundtrip(self):
-        model = SurfaceAreaModel()
-        assert SurfaceAreaModel.from_dict(model.to_dict()) == model
+    def test_invariant_is_an_error_at_the_object_path(self):
+        with pytest.raises(ParseError) as info:
+            _parse_config(json.dumps({"area_model": {"total_area_cm2": 9000.0}}))
+        message = "total_area_cm2 must equal 2*wheel + frame + handlebar (8364.0), got 9000.0"
+        assert (info.value.path, str(info.value)) == ("area_model", f"area_model: {message}")
 
 
 class TestClassifierConfig:
@@ -138,25 +142,55 @@ class TestClassifierConfig:
         with pytest.raises(ValueError, match="confidence_threshold"):
             ClassifierConfig(confidence_threshold=1.5)
 
-    @pytest.mark.parametrize("floor", [-1.0, 5.0, math.nan])
-    def test_detectability_floor_range(self, floor):
+    @pytest.mark.parametrize("floor, message", [
+        (-1.0, "detectability_floor must be in [0, 1], got -1.0"),
+        (5.0, "detectability_floor must be in [0, 1], got 5.0"),
+        (math.nan, "detectability_floor: expected a finite number, got nan"),
+    ])
+    def test_detectability_floor_range(self, floor, message):
         with pytest.raises(ValueError, match="detectability_floor must be in"):
             ClassifierConfig(detectability_floor=floor)
-        with pytest.raises(ValueError, match="detectability_floor must be in"):
-            ClassifierConfig.from_dict({"detectability_floor": floor})
+        with pytest.raises(ParseError) as info:
+            _parse_config(json.dumps({"detectability_floor": floor}))
+        assert str(info.value) == message
 
-    def test_roundtrip(self):
-        config = ClassifierConfig(confidence_threshold=0.25)
-        assert ClassifierConfig.from_dict(config.to_dict()) == config
+    @pytest.mark.parametrize("config", [
+        ClassifierConfig(),
+        ClassifierConfig(confidence_threshold=0.25),
+        ClassifierConfig(
+            confidence_threshold=0,
+            wheel_fractions=((0.9, 1.0), (0.5, 0.6), (0.0, 0.25)),
+            detectability_floor=1,
+            grouping_distance_factor=2.75,
+            area_model=SurfaceAreaModel(
+                wheel_area_cm2=3000.0, frame_area_cm2=2000.0, handlebar_area_cm2=164.0, total_area_cm2=8164.0,
+                wheel_share_pct=37.5, frame_share_pct=23.0, handlebar_share_pct=2.0,
+            ),
+        ),
+    ], ids=["default", "threshold", "every-field"])
+    def test_roundtrip(self, config):
+        # What calibrate prints (json.dumps of to_dict) reads back equal through the config reader.
+        assert _parse_config(json.dumps(config.to_dict(), indent=2)) == config
+        assert _parse_config(json.dumps(config.to_dict())).to_dict() == config.to_dict()
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
-            ClassifierConfig.from_dict({"confidence": 0.5})
+        with pytest.raises(ParseError) as info:
+            _parse_config('{"confidence": 0.5}')
+        assert (info.value.path, str(info.value)) == ("confidence", "confidence: unknown field")
 
-    @pytest.mark.parametrize("document, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
-    def test_wrong_types_and_non_finite_values_name_field(self, document, field):
-        with pytest.raises(ValueError, match=field):
-            ClassifierConfig.from_dict(json.loads(document))
+    def test_a_reader_bug_is_not_an_input_error(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in the reader")
+
+        monkeypatch.setattr(ingest, "_object", broken)
+        with pytest.raises(TypeError, match="^bug in the reader$"):
+            _parse_config('{"confidence_threshold": 0.3}')
+
+    @pytest.mark.parametrize("document, message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_wrong_types_and_non_finite_values_name_field(self, document, message):
+        with pytest.raises(ParseError) as info:
+            _parse_config(document)
+        assert str(info.value).startswith(message)
 
 
 class TestVisibilityReport:
@@ -210,7 +244,7 @@ class TestVisibilityReport:
         ("bicycle_index", "0", "bicycle_index: expected an integer, got '0'"),
     ])
     def test_identity_types_as_the_reader_checks_them(self, field, value, message):
-        # A report the constructor accepts is one the JSON reader takes back, with the reader's wording otherwise.
+        # The JSON reader leaves these checks to the constructor, so every report built is one the reader takes back.
         with pytest.raises(ValueError) as info:
             self._report(**{field: value})
         assert str(info.value) == f"report field {message}"
@@ -225,14 +259,7 @@ class TestVisibilityReport:
 
     def test_roundtrip(self):
         report = self._report()
-        assert VisibilityReport.from_dict(report.to_dict()) == report
-
-
-class TestOcclusionBand:
-    def test_from_label(self):
-        assert OcclusionBand.from_label("Partial") is OcclusionBand.PARTIAL
-        with pytest.raises(ValueError, match="unknown occlusion band"):
-            OcclusionBand.from_label("total")
+        assert reports_from_json(reports_to_json([report])) == [report]
 
 
 def _frame(detections, width=640, height=640):
