@@ -141,19 +141,34 @@ _mask_circles = st.builds(
 )
 
 
-def oracle_digest(seeds, occluder_counts):
+def scenes_digest(scenes):
     """SHA-256 over each scene's JSON, its ground truth (fractions, levels, bboxes) and its detector frame."""
     digest = hashlib.sha256()
-    for count in occluder_counts:
-        for seed in seeds:
-            scene = generate_scene(seed, count, (seed % 9) / 10)
-            truth = ground_truth(scene)
-            frame = simulate_detections(scene, truth=truth)
-            bboxes = {slot: bbox and asdict(bbox) for slot, bbox in truth.bboxes.items()}
-            record = [scene.to_json(), truth.fractions, truth.visibility_pct, truth.occlusion_pct]
-            record += [bboxes, asdict(frame)]
-            digest.update(json.dumps(record, sort_keys=True).encode())
+    for scene in scenes:
+        truth = ground_truth(scene)
+        frame = simulate_detections(scene, truth=truth)
+        bboxes = {slot: bbox and asdict(bbox) for slot, bbox in truth.bboxes.items()}
+        record = [scene.to_json(), truth.fractions, truth.visibility_pct, truth.occlusion_pct]
+        record += [bboxes, asdict(frame)]
+        digest.update(json.dumps(record, sort_keys=True).encode())
     return digest.hexdigest()
+
+
+def oracle_digest(seeds, occluder_counts):
+    """The scenes_digest of each occluder count's scenes over the seeds, target (seed % 9) / 10."""
+    return scenes_digest(generate_scene(seed, count, (seed % 9) / 10) for count in occluder_counts for seed in seeds)
+
+
+def varied_templates(count, seed):
+    """``count`` valid templates, wheel_radius and wheelbase drawn across BicycleTemplate's validated range."""
+    rng, templates = random.Random(seed), []
+    while len(templates) < count:
+        radius = rng.uniform(0.33, 0.42)
+        try:
+            templates.append(BicycleTemplate(wheel_radius=radius, wheelbase=rng.uniform(1.5, 1.8) - 2.0 * radius))
+        except ValueError:
+            continue
+    return templates
 
 
 class TestBicycleTemplate:
@@ -253,6 +268,15 @@ class TestSceneGeneration:
         assert oracle_digest(range(50), (0, 1, 3, 6)) == (
             "145bb32de466423651faad3caf0bce84521aefc9fdc61359fce0060936f4f3d6"
         )
+
+    def test_held_out_oracle_bytes_pinned(self):
+        # Recorded before the wheel lattice and the untouched-polygon shortcuts: held-out seeds with 1-6
+        # occluders, then templates whose wheels have other radii, each probed on its own grid.
+        scenes = [generate_scene(5000 + i, 1 + i % 6, (i % 9) / 10) for i in range(300)]
+        templates = varied_templates(50, 27)
+        assert len({(t.wheel_radius, t.wheelbase) for t in templates}) == 50
+        scenes += [generate_scene(7000 + i, 1 + i % 6, (i % 9) / 10, t) for i, t in enumerate(templates)]
+        assert scenes_digest(scenes) == "6b6a70e1556f744fcb960e9fa4d6a768fbcaf7092046f66ebc63c6b0366e6e97"
 
 
 class TestGroundTruth:
