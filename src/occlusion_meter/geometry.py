@@ -46,8 +46,13 @@ def _bounds(points: Sequence[Point]) -> Bounds:
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def _apart(a: Bounds, b: Bounds) -> bool:
+    # Closed boxes that share no point.
+    return a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]
+
+
 class Polygon:
-    """Simple polygon with nonzero area, stored counter-clockwise, with its bounds walked once."""
+    """Simple polygon with nonzero, finite area, stored counter-clockwise, with its bounds walked once."""
 
     __slots__ = ("vertices", "_area", "_box")
 
@@ -55,7 +60,14 @@ class Polygon:
         vs = tuple([(float(x), float(y)) for x, y in vertices])
         if len(vs) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(vs)}")
+        self._store(vs, _bounds(vs))
+
+    def _store(self, vs: tuple[Point, ...], box: Bounds) -> None:
+        # The one construction step, from at least 3 float vertices and their bounds.
         doubled = _signed_area2(vs)
+        # A NaN or infinite coordinate makes some product, and so the sum, non-finite.
+        if not math.isfinite(doubled):
+            raise ValueError("polygon vertices must be finite, with a finite area")
         if abs(doubled) <= 2.0 * _MIN_AREA:
             raise ValueError("degenerate polygon: zero area")
         if doubled < 0:
@@ -64,7 +76,7 @@ class Polygon:
             doubled = _signed_area2(vs)
         self.vertices = vs
         self._area = abs(doubled) / 2.0
-        self._box = _bounds(vs)
+        self._box = box
 
     def area(self) -> float:
         return self._area
@@ -81,8 +93,8 @@ class ConvexPolygon(Polygon):
 
     __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Point]):
-        super().__init__(vertices)
+    def _store(self, vs: tuple[Point, ...], box: Bounds) -> None:
+        super()._store(vs, box)
         vs = self.vertices
         for (ax, ay), (bx, by), (cx, cy) in zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
             e1x, e1y = bx - ax, by - ay
@@ -107,19 +119,26 @@ def circle_polygon(center: Point, radius: float, segments: int = 64) -> ConvexPo
     The enclosed area is (segments / 2) * radius^2 * sin(2*pi/segments),
     which converges to pi*r^2 from below as segments grows.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius) or radius <= 0:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     segments = int(segments)
     if segments < MIN_CIRCLE_SEGMENTS:
         raise ValueError(f"segments must be >= {MIN_CIRCLE_SEGMENTS}, got {segments}")
-    cx, cy = center
-    return ConvexPolygon([(cx + radius * c, cy + radius * s) for c, s in _unit_circle(segments)])
+    (cx, cy), r = map(float, center), float(radius)
+    unit, (ux0, uy0, ux1, uy1) = _unit_circle(segments)
+    # Rounding c + r * u is monotone in u for r > 0, so the unit circle's extremes give the walked bounds exactly.
+    polygon = ConvexPolygon.__new__(ConvexPolygon)
+    box = (cx + r * ux0, cy + r * uy0, cx + r * ux1, cy + r * uy1)
+    polygon._store(tuple([(cx + r * c, cy + r * s) for c, s in unit]), box)
+    return polygon
 
 
 @lru_cache(maxsize=8)
-def _unit_circle(segments: int) -> tuple[Point, ...]:
+def _unit_circle(segments: int) -> tuple[tuple[Point, ...], Bounds]:
+    # The vertices at angles k * 2 pi / segments, and their bounds.
     step = 2.0 * math.pi / segments
-    return tuple((math.cos(k * step), math.sin(k * step)) for k in range(segments))
+    unit = tuple((math.cos(k * step), math.sin(k * step)) for k in range(segments))
+    return unit, _bounds(unit)
 
 
 def _clip_half_plane(points: list[Point], a: Point, b: Point) -> list[Point]:
@@ -176,10 +195,9 @@ def _split(piece: list[Point], box: Bounds | None, convex: ConvexPolygon) -> tup
     # inside. A piece's bounds are walked when it is new or clipped, not again
     # for each occluder that misses it.
     box = box or _bounds(piece)
-    x0, y0, x1, y1 = box
-    ox0, oy0, ox1, oy1 = convex.bounds()
-    if x0 > ox1 or ox0 > x1 or y0 > oy1 or oy0 > y1:
+    if _apart(box, convex.bounds()):
         return [], [(piece, box)]
+    x0, y0, x1, y1 = box
     vs = convex.vertices
     finished: list[Piece] = []
     inside = walked = piece

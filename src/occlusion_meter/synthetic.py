@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
 from .classifier import classify_bicycle, classify_frame
-from .geometry import ConvexPolygon, _bounds, circle_polygon, pieces_area, rect_polygon, visible_pieces
+from .geometry import ConvexPolygon, _apart, _bounds, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
     DEFAULT_CONFIG,
     BoundingBox,
@@ -55,7 +55,8 @@ Rect = tuple[float, float, float, float]
 PointM = tuple[float, float]
 TriangleM = tuple[PointM, PointM, PointM]
 
-# ``row_masks(xs, ys)``: per y in ys, an int whose bit j is set when (xs[j], y) lies in the shape,
+# ``row_masks(xs, ys)`` (triangles and rects; a circle is a wheel, which the probe reads off _DISC):
+# per y in ys, an int whose bit j is set when (xs[j], y) lies in the shape,
 # for ascending xs (the probe's _linspace axes). A convex shape meets a row in one run [lo, hi) of
 # them, bits (1 << hi) - (1 << lo); each shape's column term is monotone along them under IEEE
 # rounding, so the run is found by bisection on the pointwise expressions.
@@ -74,20 +75,6 @@ class Circle:
 
     def placed(self, scale: float, ox: float, oy: float) -> "Circle":
         return Circle(ox + self.cx * scale, oy - self.cy * scale, self.radius * scale)
-
-    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        # (x - cx)² falls up to cx and rises after it; each half is bisected outward from cx.
-        mid = bisect_left(xs, self.cx)
-        dxs = [(x - self.cx) * (x - self.cx) for x in xs]
-        falling, rising = dxs[:mid][::-1], dxs[mid:]
-        r2 = self.radius**2
-        masks = []
-        for y in ys:
-            dy = (y - self.cy) * (y - self.cy)
-            lo = mid - bisect_right(falling, r2, key=lambda dx: dx + dy)
-            hi = mid + bisect_right(rising, r2, key=lambda dx: dx + dy)
-            masks.append((1 << hi) - (1 << lo))
-        return masks
 
 
 @dataclass(frozen=True)
@@ -309,6 +296,17 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 _GRID = 24
 _COLUMNS = [((1 << k) - 1) * sum(1 << (_GRID * i) for i in range(_GRID)) for k in range(_GRID + 1)]
 _ROWS = [(1 << (_GRID * k)) - 1 for k in range(_GRID + 1)]
+# A wheel is one circle, and its grid spans its bounds, which are the circle's: point (j, i) is (cx, cy) +
+# r / m * (2j - m, 2i - m), m = _GRID - 1, up to rounding. So it lies inside iff (2j - m)² + (2i - m)² <= m².
+# For odd m no point is on the circle: a sum of two odd squares is 2 mod 8 and m² is 1 mod 8. Each point
+# clears it by r² / m² or more in squared distance (about 10 px² at r = 74 px), far above the rounding of
+# the grid and of the closed test (x - cx)² + (y - cy)² <= r², below 1e-9 px². So these are every wheel's points.
+_DISC = sum(
+    1 << (_GRID * i + j)
+    for i in range(_GRID)
+    for j in range(_GRID)
+    if (2 * j - _GRID + 1) ** 2 + (2 * i - _GRID + 1) ** 2 <= (_GRID - 1) ** 2
+)
 
 
 class _CoverageProbe:
@@ -317,7 +315,8 @@ class _CoverageProbe:
     Each part with points keeps its own grid axes (xs, ys, ascending), the
     bitset of its grid points inside it, their count and its area. A rect
     covers the columns and rows its closed sides bracket on a part's axes:
-    four bisects and a few int ops per part.
+    four bisects and a few int ops per part, none for a rect outside the
+    grid's extent. A part no rect hits adds nothing, exactly as 0.0 would.
     """
 
     def __init__(self, instances: Sequence[PartInstance]):
@@ -326,8 +325,11 @@ class _CoverageProbe:
         for inst in instances:
             x0, y0, x1, y1 = inst.bounds()
             xs, ys = _linspace(x0, x1, _GRID), _linspace(y0, y1, _GRID)
-            rows = [reduce(operator.or_, row) for row in zip(*(shape.row_masks(xs, ys) for shape in inst.shapes))]
-            inside = sum(row << (_GRID * i) for i, row in enumerate(rows))
+            if isinstance(inst.shapes[0], Circle):
+                inside = _DISC
+            else:
+                rows = [reduce(operator.or_, row) for row in zip(*(shape.row_masks(xs, ys) for shape in inst.shapes))]
+                inside = sum(row << (_GRID * i) for i, row in enumerate(rows))
             area = inst.area()
             if inside:
                 self.parts.append((xs, ys, inside, inside.bit_count(), area))
@@ -338,9 +340,12 @@ class _CoverageProbe:
         for xs, ys, points, count, area in self.parts:
             hit = 0
             for x0, y0, x1, y1 in rects:
+                if x1 < xs[0] or x0 > xs[-1] or y1 < ys[0] or y0 > ys[-1]:
+                    continue
                 in_x = _COLUMNS[bisect_right(xs, x1)] & ~_COLUMNS[bisect_left(xs, x0)]
                 hit |= in_x & _ROWS[bisect_right(ys, y1)] & ~_ROWS[bisect_left(ys, y0)]
-            covered += area * (float((hit & points).bit_count()) / count)
+            if hit:
+                covered += area * (float((hit & points).bit_count()) / count)
         return covered / self.total_area
 
 
@@ -425,17 +430,28 @@ class GroundTruth(VisibilityReport):
     bboxes: Mapping[str, BoundingBox | None] = field(repr=False)
 
 
+def _visible_shape(poly: ConvexPolygon, occluders: Sequence[ConvexPolygon]) -> tuple[float, list[Rect]]:
+    # A shape's visible area and the bounds of each of its visible pieces, from one visible_pieces pass. When every
+    # occluder's bbox is _apart from the shape's, that pass keeps the shape whole, so its stored area and bounds
+    # are the pass's shoelace sum and points walk, bit for bit.
+    box = poly.bounds()
+    if all(_apart(box, occ.bounds()) for occ in occluders):
+        return poly.area(), [box]
+    pieces = visible_pieces(poly, occluders)
+    return pieces_area(poly, pieces), [_bounds(piece) for piece in pieces]
+
+
 def _visible_part(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> tuple[float, BoundingBox | None]:
-    # The visible area and the bounds of the exact visible region, from one
-    # visible_pieces pass over each of the part's polygons.
-    visible, points = 0.0, []
+    # The visible area and the bounds of the exact visible region, enclosing the pieces' bounds (min and max
+    # are exact), from one pass over each of the part's polygons.
+    visible, boxes = 0.0, []
     for poly in inst.polygons:
-        pieces = visible_pieces(poly, occluders)
-        visible += pieces_area(poly, pieces)
-        points += [p for piece in pieces for p in piece]
-    if not points:
+        area, piece_boxes = _visible_shape(poly, occluders)
+        visible += area
+        boxes += piece_boxes
+    if not boxes:
         return visible, None
-    return visible, BoundingBox(*_bounds(points)).clamped(CANVAS_SIZE, CANVAS_SIZE)
+    return visible, BoundingBox(*_enclosing(boxes)).clamped(CANVAS_SIZE, CANVAS_SIZE)
 
 
 def ground_truth(scene: Scene, area_model: SurfaceAreaModel | None = None) -> GroundTruth:

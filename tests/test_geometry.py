@@ -86,6 +86,21 @@ class TestPolygon:
                 acc += x0 * y1 - x1 * y0
             assert acc > 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # Any non-finite coordinate makes the shoelace sum non-finite. A NaN triangle used to score area nan, and
+        # a 2x2 square minus it kept a visible area of 4.0.
+        for vertices in ([(bad, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0.0, 0.0), (2.0, 0.0), (2.0, bad), (0.0, 2.0)]):
+            for cls in (Polygon, ConvexPolygon):
+                with pytest.raises(ValueError, match="must be finite"):
+                    cls(vertices)
+        with pytest.raises(ValueError, match="must be finite"):
+            rect_polygon(0.0, 0.0, bad, 1.0)
+
+    def test_area_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Polygon([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)])
+
     def test_convex_rejects_concave(self):
         with pytest.raises(ValueError, match="not convex"):
             ConvexPolygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
@@ -472,6 +487,32 @@ class TestCirclePolygon:
     def test_rejects_non_positive_radius(self):
         with pytest.raises(ValueError, match="radius must be positive"):
             circle_polygon((0, 0), 0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            circle_polygon((0, 0), radius, 128)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 5.0)])
+    def test_rejects_non_finite_centre(self, center):
+        with pytest.raises(ValueError, match="must be finite"):
+            circle_polygon(center, 1.0, 128)
+
+    @pytest.mark.parametrize("segments", [16, 37, 64, 128])
+    def test_matches_the_checked_constructor(self, segments):
+        # circle_polygon skips Polygon.__init__'s float copy and bounds walk, and takes its bounds from the unit
+        # circle's extremes. Its vertices, area and bounds are ConvexPolygon's of the same vertices, bit for bit.
+        rng = random.Random(segments)
+        cases = [((3, -4), 5), ((0.0, 0.0), 1e-3), ((1e6, -1e6), 1e4)]
+        cases += [((rng.uniform(-700, 700), rng.uniform(-700, 700)), rng.uniform(1e-3, 400)) for _ in range(300)]
+        for center, radius in cases:
+            poly = circle_polygon(center, radius, segments)
+            checked = ConvexPolygon(poly.vertices)
+            assert type(poly) is ConvexPolygon
+            assert all(type(c) is float for vertex in poly.vertices for c in vertex)
+            assert poly.vertices == checked.vertices
+            assert poly.area() == checked.area()
+            assert poly.bounds() == checked.bounds() == _bounds(poly.vertices)
 
     def test_minimum_segment_count_accepted(self):
         poly = circle_polygon((0, 0), 1.0, 16)

@@ -136,10 +136,6 @@ def _mask_triangles(draw):
     return triangle
 
 
-_mask_circles = st.builds(
-    Circle, _MASK_COORD, _MASK_COORD, st.one_of(st.integers(1, 24).map(lambda v: v / 4.0), st.floats(0.01, 8.0))
-)
-
 
 def scenes_digest(scenes):
     """SHA-256 over each scene's JSON, its ground truth (fractions, levels, bboxes) and its detector frame."""
@@ -455,9 +451,8 @@ class TestEstimatorError:
 
             return wrapper
 
-        pieces = counted("visible_pieces", geometry.visible_pieces)
-        monkeypatch.setattr(geometry, "visible_pieces", pieces)
-        monkeypatch.setattr(synthetic, "visible_pieces", pieces)
+        # A shape's visible pass is _visible_shape, which skips visible_pieces for a shape no occluder's bbox meets.
+        monkeypatch.setattr(synthetic, "_visible_shape", counted("visible pass", synthetic._visible_shape))
         monkeypatch.setattr(synthetic, "circle_polygon", counted("circle_polygon", synthetic.circle_polygon))
         return calls
 
@@ -470,20 +465,21 @@ class TestEstimatorError:
         estimator_error(scene)
         shapes = [shape for inst in scene.part_instances() for shape in inst.shapes]
         assert len(shapes) == 5
-        assert calls == {"visible_pieces": len(shapes), "circle_polygon": 2}
+        assert calls == {"visible pass": len(shapes), "circle_polygon": 2}
 
     @pytest.mark.parametrize("k", [0, 1, 2, 6])
     def test_each_polygon_built_once_per_scene(self, monkeypatch, k):
         # Five part polygons (two wheels, two frame triangles, the handlebar),
         # shared by the coverage probe and ground_truth, plus one per occluder.
+        # Every polygon, the wheels included, is built and checked convex by ConvexPolygon._store.
         calls = Counter()
-        init = geometry.ConvexPolygon.__init__
+        store = geometry.ConvexPolygon._store
 
-        def counted(self, vertices):
-            calls["ConvexPolygon"] += 1
-            init(self, vertices)
+        def counted(self, vertices, box):
+            calls[type(self).__name__] += 1
+            store(self, vertices, box)
 
-        monkeypatch.setattr(geometry.ConvexPolygon, "__init__", counted)
+        monkeypatch.setattr(geometry.ConvexPolygon, "_store", counted)
         estimator_error(generate_scene(21, k, 0.45))
         assert calls == {"ConvexPolygon": 5 + k}
 
@@ -505,7 +501,7 @@ class TestEstimatorError:
         scene = Scene(s.template, s.scale, s.origin, s.occluders, s.seed)
         calls = self.count_geometry_calls(monkeypatch)
         estimator_error(scene)
-        assert calls == {"visible_pieces": 5, "circle_polygon": 2}
+        assert calls == {"visible pass": 5, "circle_polygon": 2}
 
     def test_records_cannot_be_hashed_and_say_so(self):
         # A report's contributions are a dict: hashing fails at once, naming the record, not 'dict'.
@@ -693,12 +689,18 @@ class TestLoopReferences:
 
     def test_row_masks_match_numpy_containment(self):
         rng = random.Random(14)
-        for seed in range(30):
-            for inst in generate_scene(seed, 0, 0.0).part_instances():
+        for seed, template in enumerate([None] * 30 + varied_templates(30, 14)):
+            for inst in generate_scene(seed, 0, 0.0, template).part_instances():
                 x0, y0, x1, y1 = inst.bounds()
-                # The probe's grid, then one through shape vertices (a wheel's first 8), where ties decide.
+                if inst.part is PartClass.WHEEL:
+                    # A wheel's probe points are the lattice disc, on its own grid only.
+                    grid_x, grid_y = np.meshgrid(np.array(_linspace(x0, x1, 24)), np.array(_linspace(y0, y1, 24)))
+                    got = expand_row_masks([synthetic._DISC >> (24 * i) & (1 << 24) - 1 for i in range(24)], 24)
+                    assert np.array_equal(got, np_contains(inst.shapes[0], grid_x, grid_y))
+                    continue
+                # The probe's grid, then one through shape vertices, where ties decide.
                 grids = [(_linspace(x0, x1, 24), _linspace(y0, y1, 24))]
-                corners = [p for shape in inst.shapes for p in shape.polygon.vertices[:8]]
+                corners = [p for shape in inst.shapes for p in shape.polygon.vertices]
                 xs = sorted({p[0] for p in corners} | {rng.uniform(x0, x1) for _ in range(20)})
                 ys = sorted({p[1] for p in corners} | {rng.uniform(y0, y1) for _ in range(20)})
                 grids.append((xs, ys))
@@ -715,15 +717,29 @@ class TestLoopReferences:
         ys = data.draw(_mask_axis([p[1] for p in (triangle.a, triangle.b, triangle.c)]))
         assert triangle.row_masks(xs, ys) == pointwise_row_masks(triangle, xs, ys)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), circle=_mask_circles)
-    def test_circle_row_masks_match_pointwise(self, data, circle):
-        # Anchors: the centre, the extremes and the first 128-gon vertices, on the circle up to rounding.
-        corners = circle.polygon.vertices[:4]
-        c, r = circle, circle.radius
-        xs = data.draw(_mask_axis([c.cx, c.cx - r, c.cx + r] + [p[0] for p in corners]))
-        ys = data.draw(_mask_axis([c.cy, c.cy - r, c.cy + r] + [p[1] for p in corners]))
-        assert circle.row_masks(xs, ys) == pointwise_row_masks(circle, xs, ys)
+    # Wheel radii in pixels over valid templates and placements: wheel_radius 0.33-0.42 m (varied_templates'
+    # draw) times generate_scene's scale, 0.6-0.95 of 620 px over a total length of 1.5-1.8 m.
+    _WHEEL_RADII = st.floats(0.6 * 0.33 * 620 / 1.8, 0.95 * 0.42 * 620 / 1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.floats(0.0, 640.0), cy=st.floats(0.0, 640.0), radius=st.one_of(_WHEEL_RADII, st.floats(1e-2, 1e4)))
+    def test_wheel_probe_points_are_the_lattice_disc(self, cx, cy, radius):
+        # Each of the probe's grid points tested on its own against the circle, on the wheel part's own grid.
+        inst = PartInstance("rear_wheel", PartClass.WHEEL, (Circle(cx, cy, radius),))
+        x0, y0, x1, y1 = inst.bounds()
+        assert (x0, y0, x1, y1) == (cx - radius, cy - radius, cx + radius, cy + radius)
+        rows = pointwise_row_masks(inst.shapes[0], _linspace(x0, x1, 24), _linspace(y0, y1, 24))
+        assert sum(row << (24 * i) for i, row in enumerate(rows)) == synthetic._DISC
+        assert _CoverageProbe([inst]).parts[0][2] == synthetic._DISC
+
+    @pytest.mark.parametrize("grid", [synthetic._GRID, 2, 8, 100])
+    def test_no_lattice_point_on_the_circle(self, grid):
+        # On an even grid m = grid - 1 is odd: each (2j - m)² + (2i - m)² is 2 mod 8, and m² is 1 mod 8.
+        m = grid - 1
+        sums = {(2 * j - m) ** 2 + (2 * i - m) ** 2 for i in range(grid) for j in range(grid)}
+        assert {total % 8 for total in sums} == {2}
+        assert m * m % 8 == 1
+        assert m * m not in sums
 
     def test_probe_coverage_matches_point_loop(self):
         rng = random.Random(11)
@@ -754,6 +770,32 @@ class TestLoopReferences:
                 assert probe.coverage(rects[:5] + [everything]) == 1.0
             assert self.reference_coverage(instances, [everything]) == 1.0
             assert probe.coverage([nothing]) == self.reference_coverage(instances, [nothing]) == 0.0
+
+    @staticmethod
+    def reference_visible_part(inst, occluders):
+        # _visible_part as it was: every polygon through visible_pieces, every piece's points walked at once.
+        visible, points = 0.0, []
+        for poly in inst.polygons:
+            pieces = geometry.visible_pieces(poly, occluders)
+            visible += geometry.pieces_area(poly, pieces)
+            points += [p for piece in pieces for p in piece]
+        if not points:
+            return visible, None
+        return visible, BoundingBox(*geometry._bounds(points)).clamped(CANVAS_SIZE, CANVAS_SIZE)
+
+    def test_visible_part_matches_clipping_every_polygon(self):
+        # A polygon no occluder's bbox meets keeps its stored area and bounds: equal to its clipped pass, bit for bit.
+        rng = random.Random(15)
+        for seed in range(150):
+            scene = generate_scene(seed, 1 + seed % 6, rng.uniform(0.0, 0.8))
+            for inst in scene.part_instances():
+                x0, y0, x1, y1 = inst.polygons[-1].bounds()
+                # Rects that touch the last polygon's bbox at its right edge or top, and that miss it by one ulp.
+                edges = [(x1, y0, x1 + 5.0, y1), (x0, y0 - 5.0, x1, y0)]
+                edges += [(math.nextafter(x1, math.inf), y0, x1 + 5.0, y1), (x0, y0 - 5.0, x1, math.nextafter(y0, 0.0))]
+                for rects in [scene.occluders, *([rect] for rect in edges), list(scene.occluders) + edges[:1]]:
+                    occluders = [rect_polygon(*rect) for rect in rects]
+                    assert _visible_part(inst, occluders) == self.reference_visible_part(inst, occluders)
 
     def test_visible_bbox_holds_every_raster_centre(self):
         # The raster samples the true circle and the exact bbox its inscribed
