@@ -124,7 +124,8 @@ def circle_polygon(center: Point, radius: float, segments: int = 64) -> ConvexPo
     segments = int(segments)
     if segments < MIN_CIRCLE_SEGMENTS:
         raise ValueError(f"segments must be >= {MIN_CIRCLE_SEGMENTS}, got {segments}")
-    (cx, cy), r = map(float, center), float(radius)
+    cx, cy = map(float, center)
+    r = float(radius)
     unit, (ux0, uy0, ux1, uy1) = _unit_circle(segments)
     # Rounding c + r * u is monotone in u for r > 0, so the unit circle's extremes give the walked bounds exactly.
     polygon = ConvexPolygon.__new__(ConvexPolygon)

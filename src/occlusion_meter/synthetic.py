@@ -296,7 +296,7 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 _GRID = 24
 _COLUMNS = [((1 << k) - 1) * sum(1 << (_GRID * i) for i in range(_GRID)) for k in range(_GRID + 1)]
 _ROWS = [(1 << (_GRID * k)) - 1 for k in range(_GRID + 1)]
-# A wheel is one circle, and its grid spans its bounds, which are the circle's: point (j, i) is (cx, cy) +
+# A wheel is one circle, and its grid spans its bounds, the circle's (WHEEL_SEGMENTS % 4 == 0): (j, i) is (cx, cy) +
 # r / m * (2j - m, 2i - m), m = _GRID - 1, up to rounding. So it lies inside iff (2j - m)² + (2i - m)² <= m².
 # For odd m no point is on the circle: a sum of two odd squares is 2 mod 8 and m² is 1 mod 8. Each point
 # clears it by r² / m² or more in squared distance (about 10 px² at r = 74 px), far above the rounding of
