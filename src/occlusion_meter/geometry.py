@@ -148,8 +148,6 @@ def _clip_half_plane(points: list[Point], a: Point, b: Point) -> list[Point]:
     ex, ey = b[0] - ax, b[1] - ay
     tol = -EDGE_EPS * math.hypot(ex, ey)
     out: list[Point] = []
-    if not points:
-        return out
     sx, sy = points[-1]
     s_side = ex * (sy - ay) - ey * (sx - ax)
     for px, py in points:
@@ -207,15 +205,13 @@ def _split(piece: list[Point], box: Bounds | None, convex: ConvexPolygon) -> tup
             continue
         if inside is not walked:  # a clipped inside's bounds, walked only when a later edge reads them
             x0, y0, x1, y1 = _bounds(walked := inside)
-        # A carried part whose bbox lies on one side of the edge line, by far
-        # more than rounding error, needs no clip: nothing to peel, or a miss.
+        # A carried part whose bbox lies left of the edge line (inside), by
+        # far more than rounding error, needs no clip: nothing to peel.
         (ax, ay), ex, ey = a, b[0] - a[0], b[1] - a[1]
         sure = EDGE_EPS * math.hypot(ex, ey) * (1.0 + max(map(abs, (x0, y0, x1, y1, *a, *b))))
         sides = [ex * (cy - ay) - ey * (cx - ax) for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))]
         if min(sides) > sure:
             continue
-        if max(sides) < -sure:
-            return [], [(piece, box)]
         outside = _clip_half_plane(inside, b, a)
         inside = _clip_half_plane(inside, a, b)
         if _piece_area(inside) <= _MIN_AREA:

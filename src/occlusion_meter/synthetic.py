@@ -60,7 +60,6 @@ TriangleM = tuple[PointM, PointM, PointM]
 # for ascending xs (the probe's _linspace axes). A convex shape meets a row in one run [lo, hi) of
 # them, bits (1 << hi) - (1 << lo); each shape's column term is monotone along them under IEEE
 # rounding, so the run is found by bisection on the pointwise expressions.
-# ``placed(scale, ox, oy)``: the shape in pixels, which are y-down with the ground line at oy.
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,6 @@ class Circle:
     def polygon(self) -> ConvexPolygon:
         return circle_polygon((self.cx, self.cy), self.radius, WHEEL_SEGMENTS)
 
-    def placed(self, scale: float, ox: float, oy: float) -> "Circle":
-        return Circle(ox + self.cx * scale, oy - self.cy * scale, self.radius * scale)
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -86,9 +82,6 @@ class Triangle:
     @cached_property
     def polygon(self) -> ConvexPolygon:
         return ConvexPolygon([self.a, self.b, self.c])
-
-    def placed(self, scale: float, ox: float, oy: float) -> "Triangle":
-        return Triangle(*[(ox + p[0] * scale, oy - p[1] * scale) for p in (self.a, self.b, self.c)])
 
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
         # Left of every counter-clockwise edge a->b, closed: left >= right, where right
@@ -117,11 +110,6 @@ class RectShape:
     def polygon(self) -> ConvexPolygon:
         return rect_polygon(self.x_min, self.y_min, self.x_max, self.y_max)
 
-    def placed(self, scale: float, ox: float, oy: float) -> "RectShape":
-        return RectShape(
-            ox + self.x_min * scale, oy - self.y_max * scale, ox + self.x_max * scale, oy - self.y_min * scale
-        )
-
     def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
         lo, hi = bisect_left(xs, self.x_min), bisect_right(xs, self.x_max)
         columns = (1 << hi) - (1 << lo) if lo < hi else 0
@@ -134,6 +122,13 @@ Shape = Circle | Triangle | RectShape
 def _enclosing(rects: Iterable[Rect]) -> Rect:
     x0s, y0s, x1s, y1s = zip(*rects)
     return min(x0s), min(y0s), max(x1s), max(y1s)
+
+
+def _finite_floats(values: Iterable[float], count: int, name: str) -> tuple[float, ...]:
+    numbers = tuple(float(v) for v in values)
+    if len(numbers) != count or not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{name} must be {count} finite numbers, got {numbers}")
+    return numbers
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ class BicycleTemplate:
         if not _HANDLEBAR_TOP_RANGE[0] <= top <= _HANDLEBAR_TOP_RANGE[1]:
             raise ValueError(f"handlebar top height {top:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
         reference = DEFAULT_CONFIG.area_model
-        areas = {inst.slot: inst.area() for inst in self.part_instances()}
+        areas = {inst.slot: inst.area() for inst in self.place(1.0, (0.0, 0.0))}
         total = ordered_sum(areas.values())
         expected = {
             "rear_wheel": reference.wheel_area_cm2 / reference.total_area_cm2,
@@ -224,17 +219,20 @@ class BicycleTemplate:
         tops.extend(p[1] for tri in self.frame_triangles for p in tri)
         return max(tops)
 
-    def part_instances(self) -> list[PartInstance]:
-        """The four part slots in template (meter) coordinates."""
-        hub_y = self.wheel_radius
-        rear_hub_x = self.wheel_radius
-        front_hub_x = self.wheel_radius + self.wheelbase
-        return [
-            PartInstance("rear_wheel", PartClass.WHEEL, (Circle(rear_hub_x, hub_y, self.wheel_radius),)),
-            PartInstance("front_wheel", PartClass.WHEEL, (Circle(front_hub_x, hub_y, self.wheel_radius),)),
-            PartInstance("frame", PartClass.FRAME, tuple(Triangle(*tri) for tri in self.frame_triangles)),
-            PartInstance("handlebar", PartClass.HANDLEBAR, (RectShape(*self.handlebar_rect),)),
-        ]
+    def place(self, scale: float, origin: PointM) -> tuple[PartInstance, ...]:
+        """The four part slots in pixels, y down: template point (x, y) goes to (ox + x * scale, oy - y * scale)."""
+        ox, oy = origin
+        r, (x_min, y_min, x_max, y_max) = self.wheel_radius, self.handlebar_rect
+        # The two hubs, the handlebar's corners, then the frame triangles' vertices, each through the one map.
+        points = [(r, r), (r + self.wheelbase, r), (x_min, y_min), (x_max, y_max)]
+        points += [p for tri in self.frame_triangles for p in tri]
+        rear, front, (left, bottom), (right, top), *frame = [(ox + x * scale, oy - y * scale) for x, y in points]
+        return (
+            PartInstance("rear_wheel", PartClass.WHEEL, (Circle(*rear, r * scale),)),
+            PartInstance("front_wheel", PartClass.WHEEL, (Circle(*front, r * scale),)),
+            PartInstance("frame", PartClass.FRAME, (Triangle(*frame[:3]), Triangle(*frame[3:]))),
+            PartInstance("handlebar", PartClass.HANDLEBAR, (RectShape(left, top, right, bottom),)),
+        )
 
 
 # Validated once; generate_scene uses it when no template is given.
@@ -243,31 +241,27 @@ _DEFAULT_TEMPLATE = BicycleTemplate()
 
 @dataclass(frozen=True)
 class Scene:
-    """A placed bicycle plus occluder rectangles, all in pixel coordinates. ``to_json()`` is its fingerprint, and
-    there is no reader: ``generate_scene(seed, occluder_count, coverage_target, template)`` rebuilds a scene."""
+    """A placed bicycle plus occluder rectangles in pixels, on the one CANVAS_SIZE square canvas. ``to_json()`` is its
+    fingerprint; there is no reader: ``generate_scene(seed, occluder_count, coverage_target, template)`` rebuilds it."""
 
     template: BicycleTemplate
     scale: float
     origin: PointM
     occluders: tuple[Rect, ...]
     seed: int
-    canvas: tuple[int, int] = (CANVAS_SIZE, CANVAS_SIZE)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "occluders", tuple(tuple(float(c) for c in r) for r in self.occluders))
-        object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        object.__setattr__(self, "canvas", tuple(int(c) for c in self.canvas))
-        if self.canvas != (CANVAS_SIZE, CANVAS_SIZE):
-            raise ValueError(f"canvas must be ({CANVAS_SIZE}, {CANVAS_SIZE}) as the oracle assumes, got {self.canvas}")
+        # Read as floats and checked here, so a value the oracle cannot place or clip is named by its field.
+        occluders = tuple(_finite_floats(r, 4, f"occluders[{i}]") for i, r in enumerate(self.occluders))
+        object.__setattr__(self, "occluders", occluders)
+        object.__setattr__(self, "origin", _finite_floats(self.origin, 2, "origin"))
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     @cached_property
     def _parts(self) -> tuple[PartInstance, ...]:
         # Placed once per scene (in __dict__, not a field), so the parts' polygons are built once.
-        ox, oy = self.origin
-        return tuple(
-            PartInstance(inst.slot, inst.part, tuple(s.placed(self.scale, ox, oy) for s in inst.shapes))
-            for inst in self.template.part_instances()
-        )
+        return self.template.place(self.scale, self.origin)
 
     def part_instances(self) -> list[PartInstance]:
         return list(self._parts)
@@ -279,7 +273,7 @@ class Scene:
         return _enclosing(inst.bounds() for inst in self.part_instances())
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "canvas": (CANVAS_SIZE, CANVAS_SIZE)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -430,25 +424,20 @@ class GroundTruth(VisibilityReport):
     bboxes: Mapping[str, BoundingBox | None] = field(repr=False)
 
 
-def _visible_shape(poly: ConvexPolygon, occluders: Sequence[ConvexPolygon]) -> tuple[float, list[Rect]]:
-    # A shape's visible area and the bounds of each of its visible pieces, from one visible_pieces pass. When every
-    # occluder's bbox is _apart from the shape's, that pass keeps the shape whole, so its stored area and bounds
-    # are the pass's shoelace sum and points walk, bit for bit.
-    box = poly.bounds()
-    if all(_apart(box, occ.bounds()) for occ in occluders):
-        return poly.area(), [box]
-    pieces = visible_pieces(poly, occluders)
-    return pieces_area(poly, pieces), [_bounds(piece) for piece in pieces]
-
-
 def _visible_part(inst: PartInstance, occluders: Sequence[ConvexPolygon]) -> tuple[float, BoundingBox | None]:
-    # The visible area and the bounds of the exact visible region, enclosing the pieces' bounds (min and max
-    # are exact), from one pass over each of the part's polygons.
+    # The visible area and the bounds of the exact visible region, enclosing the pieces' bounds (min and max are
+    # exact), from one visible_pieces pass per polygon. A polygon whose bbox is _apart from every occluder's is kept
+    # whole by that pass, so its stored area and bounds are the pass's shoelace sum and points walk, bit for bit.
     visible, boxes = 0.0, []
     for poly in inst.polygons:
-        area, piece_boxes = _visible_shape(poly, occluders)
-        visible += area
-        boxes += piece_boxes
+        box = poly.bounds()
+        if all(_apart(box, occ.bounds()) for occ in occluders):
+            visible += poly.area()
+            boxes.append(box)
+            continue
+        pieces = visible_pieces(poly, occluders)
+        visible += pieces_area(poly, pieces)
+        boxes += [_bounds(piece) for piece in pieces]
     if not boxes:
         return visible, None
     return visible, BoundingBox(*_enclosing(boxes)).clamped(CANVAS_SIZE, CANVAS_SIZE)
@@ -497,8 +486,8 @@ def simulate_detections(
         detections.append(PartDetection(part=inst.part, bbox=bbox, confidence=confidence))
     return DetectionFrame(
         image_id=f"synthetic-{scene.seed}",
-        image_width=scene.canvas[0],
-        image_height=scene.canvas[1],
+        image_width=CANVAS_SIZE,
+        image_height=CANVAS_SIZE,
         detections=tuple(detections),
     )
 

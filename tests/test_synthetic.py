@@ -5,7 +5,7 @@ import math
 import random
 from types import MappingProxyType
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -175,9 +175,9 @@ class TestBicycleTemplate:
         assert 0.75 <= template.handlebar_rect[3] <= 1.10
 
     def test_part_slots(self):
-        slots = [inst.slot for inst in BicycleTemplate().part_instances()]
+        slots = [inst.slot for inst in BicycleTemplate().place(1.0, (0.0, 0.0))]
         assert slots == ["rear_wheel", "front_wheel", "frame", "handlebar"]
-        parts = [inst.part for inst in BicycleTemplate().part_instances()]
+        parts = [inst.part for inst in BicycleTemplate().place(1.0, (0.0, 0.0))]
         assert parts == [PartClass.WHEEL, PartClass.WHEEL, PartClass.FRAME, PartClass.HANDLEBAR]
 
     def test_length_out_of_envelope_rejected(self):
@@ -195,11 +195,53 @@ class TestBicycleTemplate:
 
     def test_proportions_within_tolerance(self):
         template = BicycleTemplate()
-        areas = {inst.slot: inst.area() for inst in template.part_instances()}
+        areas = {inst.slot: inst.area() for inst in template.place(1.0, (0.0, 0.0))}
         total = sum(areas.values())
         assert areas["rear_wheel"] / total == pytest.approx(3400 / 8364, rel=0.25)
         assert areas["frame"] / total == pytest.approx(1454 / 8364, rel=0.25)
         assert areas["handlebar"] / total == pytest.approx(110 / 8364, rel=0.25)
+
+    @staticmethod
+    def reference_place(template, scale, origin):
+        # place as it was: the parts in meters (part_instances), each shape then placed by its own placed().
+        ox, oy = origin
+        r = template.wheel_radius
+        meters = [
+            ("rear_wheel", PartClass.WHEEL, (Circle(r, r, r),)),
+            ("front_wheel", PartClass.WHEEL, (Circle(r + template.wheelbase, r, r),)),
+            ("frame", PartClass.FRAME, tuple(Triangle(*tri) for tri in template.frame_triangles)),
+            ("handlebar", PartClass.HANDLEBAR, (RectShape(*template.handlebar_rect),)),
+        ]
+
+        def placed(shape):
+            if isinstance(shape, Circle):
+                return Circle(ox + shape.cx * scale, oy - shape.cy * scale, shape.radius * scale)
+            if isinstance(shape, Triangle):
+                return Triangle(*[(ox + p[0] * scale, oy - p[1] * scale) for p in (shape.a, shape.b, shape.c)])
+            return RectShape(
+                ox + shape.x_min * scale, oy - shape.y_max * scale, ox + shape.x_max * scale, oy - shape.y_min * scale
+            )
+
+        return [PartInstance(slot, part, tuple(placed(shape) for shape in shapes)) for slot, part, shapes in meters]
+
+    @staticmethod
+    def bits(instances):
+        # Slot, class, shape type and each coordinate's float.hex: equal only when equal bit for bit.
+        def flat(value):
+            return [h for v in value for h in flat(v)] if isinstance(value, tuple) else [float(value).hex()]
+
+        return [(i.slot, i.part, [(type(s).__name__, flat(astuple(s))) for s in i.shapes]) for i in instances]
+
+    def test_place_matches_per_shape_placement(self):
+        # Every coordinate place gives is the one the per-shape placed() arithmetic gave, on the default template's
+        # scenes and on templates with other wheel radii and wheelbases, in pixels and in meters (scale 1, no shift).
+        cases = [(seed, None) for seed in range(500)] + [(7000 + i, t) for i, t in enumerate(varied_templates(50, 27))]
+        for seed, template in cases:
+            scene = generate_scene(seed, 0, 0.0, template)
+            for scale, origin in ((scene.scale, scene.origin), (1.0, (0.0, 0.0))):
+                expected = self.bits(self.reference_place(scene.template, scale, origin))
+                assert self.bits(scene.template.place(scale, origin)) == expected
+            assert self.bits(scene.part_instances()) == self.bits(scene.template.place(scene.scale, scene.origin))
 
 
 class TestSceneGeneration:
@@ -245,12 +287,45 @@ class TestSceneGeneration:
         assert hits >= 27  # at least 90 percent of seeds
 
     def test_canvas_other_than_the_oracles_rejected(self):
-        # Placement, the occluder sampler and the visible bboxes all assume CANVAS_SIZE.
+        # Placement, the occluder sampler and the visible bboxes all assume CANVAS_SIZE: a scene has no other canvas,
+        # and its JSON still names that one.
         s = generate_scene(77, 2, 0.3)
-        assert Scene(s.template, s.scale, s.origin, s.occluders, s.seed, canvas=[640, 640]) == s
-        for canvas in ([200, 200], [640, 480]):
-            with pytest.raises(ValueError, match="canvas"):
+        assert json.loads(s.to_json())["canvas"] == [640, 640]
+        assert '"canvas": [640, 640]' in s.to_json()
+        for canvas in ([640, 640], [200, 200], [640, 480]):
+            with pytest.raises(TypeError, match="canvas"):
                 Scene(s.template, s.scale, s.origin, s.occluders, s.seed, canvas=canvas)
+
+    @pytest.mark.parametrize(
+        ("change", "field"),
+        [
+            ({"occluders": ((10.0, math.nan, 50.0, 640.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 20.0, 50.0, 640.0), (10.0, 20.0, math.inf, 640.0))}, r"occluders\[1\]"),
+            ({"occluders": ((-math.inf, 20.0, 50.0, 640.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 20.0, 50.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 20.0, 50.0, 640.0, 1.0),)}, r"occluders\[0\]"),
+            ({"scale": math.nan}, "scale"),
+            ({"scale": 0.0}, "scale"),
+            ({"scale": -84.7}, "scale"),
+            ({"scale": math.inf}, "scale"),
+            ({"origin": (math.inf, 500.0)}, "origin"),
+            ({"origin": (100.0, math.nan)}, "origin"),
+            ({"origin": (100.0,)}, "origin"),
+        ],
+        ids=["nan-occluder", "inf-second-occluder", "minus-inf-occluder", "3-number-occluder", "5-number-occluder",
+             "nan-scale", "zero-scale", "negative-scale", "inf-scale", "inf-origin", "nan-origin", "1-number-origin"],
+    )
+    def test_values_the_oracle_cannot_use_rejected_by_field(self, change, field):
+        # Rejected when the scene is built, naming the field, not later by the clip or the wheel polygon.
+        s = generate_scene(3, 1, 0.3)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            replace(s, **change)
+
+    def test_scene_values_read_as_floats(self):
+        s = generate_scene(3, 1, 0.3)
+        scene = replace(s, origin=[100, 500], occluders=[[10, 20, 50, 640]])
+        assert scene.origin == (100.0, 500.0) and type(scene.origin[0]) is float
+        assert scene.occluders == ((10.0, 20.0, 50.0, 640.0),) and type(scene.occluders[0][0]) is float
 
     def test_parts_stay_on_canvas(self):
         for seed in (0, 5, 9):
@@ -451,8 +526,9 @@ class TestEstimatorError:
 
             return wrapper
 
-        # A shape's visible pass is _visible_shape, which skips visible_pieces for a shape no occluder's bbox meets.
-        monkeypatch.setattr(synthetic, "_visible_shape", counted("visible pass", synthetic._visible_shape))
+        # A part's visible pass is _visible_part, which skips visible_pieces for a polygon no occluder's bbox meets.
+        monkeypatch.setattr(synthetic, "_visible_part", counted("visible pass", synthetic._visible_part))
+        monkeypatch.setattr(synthetic, "visible_pieces", counted("visible_pieces", synthetic.visible_pieces))
         monkeypatch.setattr(synthetic, "circle_polygon", counted("circle_polygon", synthetic.circle_polygon))
         return calls
 
@@ -465,7 +541,8 @@ class TestEstimatorError:
         estimator_error(scene)
         shapes = [shape for inst in scene.part_instances() for shape in inst.shapes]
         assert len(shapes) == 5
-        assert calls == {"visible pass": len(shapes), "circle_polygon": 2}
+        assert 1 <= calls.pop("visible_pieces") <= len(shapes)
+        assert calls == {"visible pass": 4, "circle_polygon": 2}
 
     @pytest.mark.parametrize("k", [0, 1, 2, 6])
     def test_each_polygon_built_once_per_scene(self, monkeypatch, k):
@@ -501,7 +578,8 @@ class TestEstimatorError:
         scene = Scene(s.template, s.scale, s.origin, s.occluders, s.seed)
         calls = self.count_geometry_calls(monkeypatch)
         estimator_error(scene)
-        assert calls == {"visible pass": 5, "circle_polygon": 2}
+        assert 1 <= calls.pop("visible_pieces") <= 5
+        assert calls == {"visible pass": 4, "circle_polygon": 2}
 
     def test_records_cannot_be_hashed_and_say_so(self):
         # A report's contributions are a dict: hashing fails at once, naming the record, not 'dict'.
