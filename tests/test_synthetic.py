@@ -290,7 +290,6 @@ class TestSceneGeneration:
         # Placement, the occluder sampler and the visible bboxes all assume CANVAS_SIZE: a scene has no other canvas,
         # and its JSON still names that one.
         s = generate_scene(77, 2, 0.3)
-        assert json.loads(s.to_json())["canvas"] == [640, 640]
         assert '"canvas": [640, 640]' in s.to_json()
         for canvas in ([640, 640], [200, 200], [640, 480]):
             with pytest.raises(TypeError, match="canvas"):
