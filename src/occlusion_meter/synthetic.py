@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import evaluation
@@ -55,12 +54,6 @@ Rect = tuple[float, float, float, float]
 PointM = tuple[float, float]
 TriangleM = tuple[PointM, PointM, PointM]
 
-# ``row_masks(xs, ys)`` (triangles and rects; a circle is a wheel, which the probe reads off _DISC):
-# per y in ys, an int whose bit j is set when (xs[j], y) lies in the shape,
-# for ascending xs (the probe's _linspace axes). A convex shape meets a row in one run [lo, hi) of
-# them, bits (1 << hi) - (1 << lo); each shape's column term is monotone along them under IEEE
-# rounding, so the run is found by bisection on the pointwise expressions.
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -83,21 +76,6 @@ class Triangle:
     def polygon(self) -> ConvexPolygon:
         return ConvexPolygon([self.a, self.b, self.c])
 
-    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        # Left of every counter-clockwise edge a->b, closed: left >= right, where right
-        # rises along the xs when by >= ay (a prefix holds) and falls otherwise (a suffix).
-        n = len(xs)
-        los, his = [0] * len(ys), [n] * len(ys)
-        vs = self.polygon.vertices
-        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
-            rights, lefts = [(by - ay) * (x - ax) for x in xs], [(bx - ax) * (y - ay) for y in ys]
-            if by - ay >= 0:
-                his = [min(hi, bisect_right(rights, left)) for hi, left in zip(his, lefts)]
-            else:
-                rights.reverse()
-                los = [max(lo, n - bisect_right(rights, left)) for lo, left in zip(los, lefts)]
-        return [(1 << hi) - (1 << lo) if lo < hi else 0 for lo, hi in zip(los, his)]
-
 
 @dataclass(frozen=True)
 class RectShape:
@@ -109,11 +87,6 @@ class RectShape:
     @cached_property
     def polygon(self) -> ConvexPolygon:
         return rect_polygon(self.x_min, self.y_min, self.x_max, self.y_max)
-
-    def row_masks(self, xs: Sequence[float], ys: Sequence[float]) -> list[int]:
-        lo, hi = bisect_left(xs, self.x_min), bisect_right(xs, self.x_max)
-        columns = (1 << hi) - (1 << lo) if lo < hi else 0
-        return [columns if self.y_min <= y <= self.y_max else 0 for y in ys]
 
 
 Shape = Circle | Triangle | RectShape
@@ -253,6 +226,9 @@ class Scene:
     def __post_init__(self) -> None:
         # Read as floats and checked here, so a value the oracle cannot place or clip is named by its field.
         occluders = tuple(_finite_floats(r, 4, f"occluders[{i}]") for i, r in enumerate(self.occluders))
+        for i, (x_min, y_min, x_max, y_max) in enumerate(occluders):
+            if x_min >= x_max or y_min >= y_max:
+                raise ValueError(f"occluders[{i}] must be a rect with x_min < x_max and y_min < y_max, got {occluders[i]}")
         object.__setattr__(self, "occluders", occluders)
         object.__setattr__(self, "origin", _finite_floats(self.origin, 2, "origin"))
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -301,16 +277,39 @@ _DISC = sum(
     for j in range(_GRID)
     if (2 * j - _GRID + 1) ** 2 + (2 * i - _GRID + 1) ** 2 <= (_GRID - 1) ** 2
 )
+# A handlebar is one rect, and its grid spans its bounds, the rect's: _linspace puts a first, b last and i * step + a
+# between, below b by about a step, far more than its roundings. So the closed rect holds every grid point.
+_PART_POINTS = {PartClass.WHEEL: _DISC, PartClass.HANDLEBAR: _ROWS[_GRID]}
+
+
+def _inside_bits(polygons: Iterable[ConvexPolygon], xs: Sequence[float], ys: Sequence[float]) -> int:
+    """Bit i * len(xs) + j set when (xs[j], ys[i]) lies in one of the convex polygons (closed), for ascending xs."""
+    n, bits = len(xs), 0
+    for poly in polygons:
+        # A row meets it in one run [lo, hi) of the xs: left of each counter-clockwise edge a->b, left >= right, and
+        # right, rounded too, rises along the xs when by >= ay (a prefix holds) and falls otherwise (a suffix): bisect.
+        los, his = [0] * len(ys), [n] * len(ys)
+        vs = poly.vertices
+        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+            rights, lefts = [(by - ay) * (x - ax) for x in xs], [(bx - ax) * (y - ay) for y in ys]
+            if by - ay >= 0:
+                his = [min(hi, bisect_right(rights, left)) for hi, left in zip(his, lefts)]
+            else:
+                rights.reverse()
+                los = [max(lo, n - bisect_right(rights, left)) for lo, left in zip(los, lefts)]
+        bits |= sum(((1 << hi) - (1 << lo)) << (n * i) for i, (lo, hi) in enumerate(zip(los, his)) if lo < hi)
+    return bits
 
 
 class _CoverageProbe:
     """Cheap coverage estimator from fixed sample points inside each part.
 
     Each part with points keeps its own grid axes (xs, ys, ascending), the
-    bitset of its grid points inside it, their count and its area. A rect
-    covers the columns and rows its closed sides bracket on a part's axes:
-    four bisects and a few int ops per part, none for a rect outside the
-    grid's extent. A part no rect hits adds nothing, exactly as 0.0 would.
+    bitset of its grid points inside it (a wheel's and a handlebar's are
+    constants, a frame's come from its polygons), their count and its area.
+    A rect covers the columns and rows its closed sides bracket on a part's
+    axes: four bisects and a few int ops per part, none for a rect outside
+    the grid's extent. A part no rect hits adds nothing, exactly as 0.0 would.
     """
 
     def __init__(self, instances: Sequence[PartInstance]):
@@ -319,11 +318,7 @@ class _CoverageProbe:
         for inst in instances:
             x0, y0, x1, y1 = inst.bounds()
             xs, ys = _linspace(x0, x1, _GRID), _linspace(y0, y1, _GRID)
-            if isinstance(inst.shapes[0], Circle):
-                inside = _DISC
-            else:
-                rows = [reduce(operator.or_, row) for row in zip(*(shape.row_masks(xs, ys) for shape in inst.shapes))]
-                inside = sum(row << (_GRID * i) for i, row in enumerate(rows))
+            inside = _PART_POINTS.get(inst.part) or _inside_bits(inst.polygons, xs, ys)
             area = inst.area()
             if inside:
                 self.parts.append((xs, ys, inside, inside.bit_count(), area))

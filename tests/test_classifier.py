@@ -722,6 +722,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"^grid_step must be in \[0\.005, 0\.5\), got "):
             calibrate_thresholds([(_ratio_bbox(70), 0.7)], grid_step=grid_step)
 
+    def test_grid_of_two_values_rejected(self):
+        # 0.49 is inside the step limit, but its grid holds only 0.49 and 0.98: three thresholds need three values.
+        with pytest.raises(ValueError, match="^grid_step too coarse: fewer than 3 candidate thresholds$"):
+            calibrate_thresholds([(_ratio_bbox(70), 0.7)], grid_step=0.49)
+
     def test_grid_step_at_limit_accepted(self):
         labeled = [(_ratio_bbox(i), _default_fraction(i / 100)) for i in range(1, 101)]
         config = calibrate_thresholds(labeled, grid_step=0.005)

@@ -349,6 +349,13 @@ class TestCalibrate:
         assert code == EXIT_INPUT
         assert "conflicting labels" in err
 
+    def test_empty_file_exits_2(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("", encoding="utf-8")
+        code, out, err = run_main(capsys, "calibrate", str(labels))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"{labels}: empty labels file" in err and "internal error" not in err
+
     def test_bad_header_exit_2(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text("a,b\n1,2\n", encoding="utf-8")

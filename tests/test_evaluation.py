@@ -8,6 +8,7 @@ import pytest
 from occlusion_meter.classifier import occlusion_band
 from occlusion_meter.evaluation import (
     BAND_ORDER,
+    BandConfusion,
     band_confusion,
     band_histogram,
     render_confusion,
@@ -119,6 +120,11 @@ class TestBandConfusion:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             band_confusion([OcclusionBand.HEAVY], [])
+
+    def test_no_pairs_agree_fully(self):
+        confusion = BandConfusion(tuple((0,) * len(BAND_ORDER) for _ in BAND_ORDER))
+        assert confusion.total() == 0
+        assert confusion.agreement_rate() == 1.0
 
     def test_agreement_rate_is_trace_over_total(self):
         estimated = [OcclusionBand.HEAVY, OcclusionBand.PARTIAL, OcclusionBand.HEAVY]

@@ -29,7 +29,7 @@ from conftest import (
     mc_visible_area,
     random_convex_vertices,
 )
-from occlusion_meter.synthetic import Triangle
+from occlusion_meter.synthetic import Triangle, _inside_bits
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -539,15 +539,15 @@ class TestCirclePolygon:
 
 class TestContainmentHelpers:
     def test_agree_on_convex_shapes(self):
-        # Triangle row masks (the scene sampler's containment) against crossing numbers.
+        # A triangle's grid points (the scene sampler's containment for the frame) against crossing numbers.
         rng = random.Random(13)
         npr = np.random.default_rng(0)
         for _ in range(5):
             triangle = Triangle(*random_convex_vertices(rng, spread=2.0, n_points=3))
-            xs = np.sort(npr.uniform(-3, 3, 141))  # row_masks takes ascending xs
+            xs = np.sort(npr.uniform(-3, 3, 141))  # _inside_bits takes ascending xs
             ys = np.sort(npr.uniform(-3, 3, 142))
-            masks = triangle.row_masks(xs.tolist(), ys.tolist())
-            convex = np.array([[bool(m >> j & 1) for j in range(xs.size)] for m in masks])
+            bits = _inside_bits([triangle.polygon], xs.tolist(), ys.tolist())
+            convex = np.array([[bool(bits >> (i * xs.size + j) & 1) for j in range(xs.size)] for i in range(ys.size)])
             grid_x, grid_y = np.meshgrid(xs, ys)
             general = mc_points_in_polygon(triangle.polygon.vertices, grid_x, grid_y)
             # Boundary points may differ by the half-plane closure; interiors agree.

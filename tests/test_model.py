@@ -138,6 +138,15 @@ class TestClassifierConfig:
         with pytest.raises(ValueError, match="first fraction"):
             ClassifierConfig(wheel_fractions=((0.85, 0.9), (0.6, 0.7), (0.45, 0.5), (0.0, 0.4)))
 
+    def test_fractions_must_be_positive(self):
+        # Decreasing, first 1.0, last threshold 0.0: only the range check is left to fail.
+        with pytest.raises(ValueError, match=r"all fractions must be in \(0, 1\]"):
+            ClassifierConfig(wheel_fractions=((0.85, 1.0), (0.6, 0.7), (0.45, 0.5), (0.0, -0.1)))
+
+    def test_ratio_thresholds_must_be_at_most_one(self):
+        with pytest.raises(ValueError, match=r"all ratio thresholds must be in \[0, 1\]"):
+            ClassifierConfig(wheel_fractions=((1.5, 1.0), (0.6, 0.7), (0.45, 0.5), (0.0, 0.4)))
+
     def test_confidence_threshold_range(self):
         with pytest.raises(ValueError, match="confidence_threshold"):
             ClassifierConfig(confidence_threshold=1.5)

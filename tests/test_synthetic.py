@@ -44,6 +44,7 @@ from occlusion_meter.synthetic import (
     run_batch,
     simulate_detections,
     _CoverageProbe,
+    _inside_bits,
     _linspace,
     _sample_rects,
     _visible_part,
@@ -83,9 +84,14 @@ def np_contains(shape, xs, ys):
     return (xs >= shape.x_min) & (xs <= shape.x_max) & (ys >= shape.y_min) & (ys <= shape.y_max)
 
 
-def expand_row_masks(masks, width):
-    """Row masks as a boolean array of shape (len(masks), width)."""
-    return np.array([[bool(m >> j & 1) for j in range(width)] for m in masks], dtype=bool).reshape(len(masks), width)
+def expand_bits(bits, width, height):
+    """A grid bitset (bit i * width + j for column j of row i) as a boolean array of shape (height, width)."""
+    return np.array([[bool(bits >> (i * width + j) & 1) for j in range(width)] for i in range(height)], dtype=bool)
+
+
+def packed(rows, width):
+    """Row masks of ``width`` bits packed into one grid bitset, row i at bit i * width."""
+    return sum(row << (width * i) for i, row in enumerate(rows))
 
 
 def pointwise_row_masks(shape, xs, ys):
@@ -114,7 +120,7 @@ _MASK_COORD = st.one_of(_GRID_COORD, st.floats(-8.0, 8.0, allow_nan=False), st.s
 
 @st.composite
 def _mask_axis(draw, anchors):
-    # Free coordinates, the shape's own coordinates, and repeats, ascending as row_masks requires.
+    # Free coordinates, the shape's own coordinates, and repeats, ascending as _inside_bits requires.
     values = draw(st.lists(_MASK_COORD, max_size=12)) + list(anchors)
     if values:
         values += draw(st.lists(st.sampled_from(values), max_size=4))
@@ -179,6 +185,11 @@ class TestBicycleTemplate:
         assert slots == ["rear_wheel", "front_wheel", "frame", "handlebar"]
         parts = [inst.part for inst in BicycleTemplate().place(1.0, (0.0, 0.0))]
         assert parts == [PartClass.WHEEL, PartClass.WHEEL, PartClass.FRAME, PartClass.HANDLEBAR]
+
+    @pytest.mark.parametrize("change", [{"wheel_radius": 0.0}, {"wheelbase": -1.05}])
+    def test_size_not_positive_rejected(self, change):
+        with pytest.raises(ValueError, match="^wheel_radius and wheelbase must be positive$"):
+            BicycleTemplate(**change)
 
     def test_length_out_of_envelope_rejected(self):
         with pytest.raises(ValueError, match="total length"):
@@ -303,6 +314,10 @@ class TestSceneGeneration:
             ({"occluders": ((-math.inf, 20.0, 50.0, 640.0),)}, r"occluders\[0\]"),
             ({"occluders": ((10.0, 20.0, 50.0),)}, r"occluders\[0\]"),
             ({"occluders": ((10.0, 20.0, 50.0, 640.0, 1.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((50.0, 20.0, 10.0, 640.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 640.0, 50.0, 20.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 20.0, 10.0, 640.0),)}, r"occluders\[0\]"),
+            ({"occluders": ((10.0, 20.0, 50.0, 640.0), (10.0, 640.0, 50.0, 640.0))}, r"occluders\[1\]"),
             ({"scale": math.nan}, "scale"),
             ({"scale": 0.0}, "scale"),
             ({"scale": -84.7}, "scale"),
@@ -312,6 +327,7 @@ class TestSceneGeneration:
             ({"origin": (100.0,)}, "origin"),
         ],
         ids=["nan-occluder", "inf-second-occluder", "minus-inf-occluder", "3-number-occluder", "5-number-occluder",
+             "x-inverted-occluder", "y-inverted-occluder", "zero-width-occluder", "zero-height-second-occluder",
              "nan-scale", "zero-scale", "negative-scale", "inf-scale", "inf-origin", "nan-origin", "1-number-origin"],
     )
     def test_values_the_oracle_cannot_use_rejected_by_field(self, change, field):
@@ -764,7 +780,7 @@ class TestLoopReferences:
         for a, b, n in cases:
             assert _linspace(a, b, n) == np.linspace(a, b, n).tolist()
 
-    def test_row_masks_match_numpy_containment(self):
+    def test_inside_bits_match_numpy_containment(self):
         rng = random.Random(14)
         for seed, template in enumerate([None] * 30 + varied_templates(30, 14)):
             for inst in generate_scene(seed, 0, 0.0, template).part_instances():
@@ -772,7 +788,7 @@ class TestLoopReferences:
                 if inst.part is PartClass.WHEEL:
                     # A wheel's probe points are the lattice disc, on its own grid only.
                     grid_x, grid_y = np.meshgrid(np.array(_linspace(x0, x1, 24)), np.array(_linspace(y0, y1, 24)))
-                    got = expand_row_masks([synthetic._DISC >> (24 * i) & (1 << 24) - 1 for i in range(24)], 24)
+                    got = expand_bits(synthetic._DISC, 24, 24)
                     assert np.array_equal(got, np_contains(inst.shapes[0], grid_x, grid_y))
                     continue
                 # The probe's grid, then one through shape vertices, where ties decide.
@@ -783,16 +799,47 @@ class TestLoopReferences:
                 grids.append((xs, ys))
                 for xs, ys in grids:
                     grid_x, grid_y = np.meshgrid(np.array(xs), np.array(ys))
+                    union = np.zeros(grid_x.shape, dtype=bool)
                     for shape in inst.shapes:
-                        got = expand_row_masks(shape.row_masks(xs, ys), len(xs))
+                        got = expand_bits(_inside_bits([shape.polygon], xs, ys), len(xs), len(ys))
                         assert np.array_equal(got, np_contains(shape, grid_x, grid_y))
+                        union |= got
+                    assert np.array_equal(expand_bits(_inside_bits(inst.polygons, xs, ys), len(xs), len(ys)), union)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), triangle=_mask_triangles())
-    def test_triangle_row_masks_match_pointwise(self, data, triangle):
+    def test_triangle_inside_bits_match_pointwise(self, data, triangle):
         xs = data.draw(_mask_axis([p[0] for p in (triangle.a, triangle.b, triangle.c)]))
         ys = data.draw(_mask_axis([p[1] for p in (triangle.a, triangle.b, triangle.c)]))
-        assert triangle.row_masks(xs, ys) == pointwise_row_masks(triangle, xs, ys)
+        assert _inside_bits([triangle.polygon], xs, ys) == packed(pointwise_row_masks(triangle, xs, ys), len(xs))
+
+    def test_handlebar_probe_points_are_the_whole_grid(self):
+        # Each grid point tested on its own against the closed rect, on the handlebar's own grid.
+        whole = (1 << (24 * 24)) - 1
+        templates = [None] * 1000 + [t for t in varied_templates(50, 27) for _ in range(40)]
+        for seed, template in enumerate(templates):
+            inst = generate_scene(seed, 0, 0.0, template).part_instances()[3]
+            assert inst.part is PartClass.HANDLEBAR
+            x0, y0, x1, y1 = inst.bounds()
+            xs, ys = _linspace(x0, x1, 24), _linspace(y0, y1, 24)
+            grid_x, grid_y = np.meshgrid(np.array(xs), np.array(ys))
+            assert np_contains(inst.shapes[0], grid_x, grid_y).all()
+            assert _inside_bits(inst.polygons, xs, ys) == whole
+        assert _CoverageProbe([inst]).parts[0][2] == synthetic._ROWS[synthetic._GRID] == whole
+
+    # Both ends far apart in magnitude, and near each other on the canvas's scale.
+    _LINSPACE_ENDS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e4, 1e4))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=_LINSPACE_ENDS, b=_LINSPACE_ENDS)
+    def test_linspace_ascends_inside_its_ends(self, a, b):
+        # The rounding argument needs a normal step (b - a) / 23; a bounds or rect side in pixels is far wider.
+        a, b = sorted((a, b))
+        assume(a == b or b - a >= 1e-290)
+        points = _linspace(a, b, 24)
+        assert points[0] == a and points[-1] == b
+        assert all(p <= q for p, q in zip(points, points[1:]))
+        assert all(a <= p <= b for p in points)
 
     # Wheel radii in pixels over valid templates and placements: wheel_radius 0.33-0.42 m (varied_templates'
     # draw) times generate_scene's scale, 0.6-0.95 of 620 px over a total length of 1.5-1.8 m.
