@@ -228,7 +228,7 @@ class Scene:
         occluders = tuple(_finite_floats(r, 4, f"occluders[{i}]") for i, r in enumerate(self.occluders))
         for i, (x_min, y_min, x_max, y_max) in enumerate(occluders):
             if x_min >= x_max or y_min >= y_max:
-                raise ValueError(f"occluders[{i}] must be a rect with x_min < x_max and y_min < y_max, got {occluders[i]}")
+                raise ValueError(f"occluders[{i}] must be a rect with x_min < x_max, y_min < y_max, got {occluders[i]}")
         object.__setattr__(self, "occluders", occluders)
         object.__setattr__(self, "origin", _finite_floats(self.origin, 2, "origin"))
         if not (math.isfinite(self.scale) and self.scale > 0):
