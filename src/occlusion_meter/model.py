@@ -30,7 +30,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 Point = tuple[float, float]
 
@@ -233,30 +233,24 @@ class DetectionFrame:
 
 @dataclass(frozen=True)
 class SurfaceAreaModel:
-    """Reference physical areas and percentage shares per bicycle part.
+    """Percentage share of the bicycle's surface per part instance.
 
-    The physical areas (cm^2) document where the percentage shares come
-    from; the rounded shares are what the classifier actually uses, because
-    only the rounded values make the per-part contributions of a fully
-    visible bicycle (2 wheels + frame + handlebar) sum to exactly 100.
+    The paper's reference areas (cm^2, class constants) say where the shares
+    come from; the rounded shares are what the classifier uses, because only
+    they make the contributions of a fully visible bicycle (2 wheels + frame
+    + handlebar) sum to exactly 100.
     """
 
-    wheel_area_cm2: float = 3400.0
-    frame_area_cm2: float = 1454.0
-    handlebar_area_cm2: float = 110.0
-    total_area_cm2: float = 8364.0
+    WHEEL_AREA_CM2: ClassVar[float] = 3400.0
+    FRAME_AREA_CM2: ClassVar[float] = 1454.0
+    HANDLEBAR_AREA_CM2: ClassVar[float] = 110.0
+    TOTAL_AREA_CM2: ClassVar[float] = 2 * WHEEL_AREA_CM2 + FRAME_AREA_CM2 + HANDLEBAR_AREA_CM2
     wheel_share_pct: float = 41.0
     frame_share_pct: float = 17.0
     handlebar_share_pct: float = 1.0
 
     def __post_init__(self) -> None:
-        # Written so that a non-finite field (inf - inf is NaN) fails too.
-        expected_total = 2 * self.wheel_area_cm2 + self.frame_area_cm2 + self.handlebar_area_cm2
-        if not abs(self.total_area_cm2 - expected_total) <= 1e-6:
-            raise ValueError(
-                f"total_area_cm2 must equal 2*wheel + frame + handlebar "
-                f"({expected_total}), got {self.total_area_cm2}"
-            )
+        # Written so that a non-finite share (inf - inf is NaN) fails too.
         share_sum = 2 * self.wheel_share_pct + self.frame_share_pct + self.handlebar_share_pct
         if not abs(share_sum - 100.0) <= 1e-9:
             raise ValueError(f"part shares must sum to 100.0, got {share_sum}")
@@ -268,9 +262,6 @@ class SurfaceAreaModel:
         if part is PartClass.FRAME:
             return self.frame_share_pct
         return self.handlebar_share_pct
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

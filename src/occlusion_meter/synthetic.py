@@ -23,7 +23,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -163,25 +163,28 @@ class BicycleTemplate:
             raise ValueError(
                 f"total length {length:.3f} m outside {_TOTAL_LENGTH_RANGE}"
             )
-        top = self.handlebar_rect[3]
-        if not _HANDLEBAR_TOP_RANGE[0] <= top <= _HANDLEBAR_TOP_RANGE[1]:
-            raise ValueError(f"handlebar top height {top:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
-        reference = DEFAULT_CONFIG.area_model
-        areas = {inst.slot: inst.area() for inst in self.place(1.0, (0.0, 0.0))}
-        total = ordered_sum(areas.values())
-        expected = {
-            "rear_wheel": reference.wheel_area_cm2 / reference.total_area_cm2,
-            "front_wheel": reference.wheel_area_cm2 / reference.total_area_cm2,
-            "frame": reference.frame_area_cm2 / reference.total_area_cm2,
-            "handlebar": reference.handlebar_area_cm2 / reference.total_area_cm2,
-        }
-        for slot, area in areas.items():
-            share = area / total
-            deviation = abs(share / expected[slot] - 1.0)
+        x_min, y_min, x_max, y_max = _finite_floats(self.handlebar_rect, 4, "handlebar_rect")
+        if x_min >= x_max or y_min >= y_max:
+            raise ValueError(f"handlebar_rect must have x_min < x_max and y_min < y_max, got {self.handlebar_rect}")
+        if not _HANDLEBAR_TOP_RANGE[0] <= y_max <= _HANDLEBAR_TOP_RANGE[1]:
+            raise ValueError(f"handlebar top height {y_max:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
+        for i, triangle in enumerate(self.frame_triangles):
+            try:
+                ConvexPolygon(triangle)
+            except ValueError as exc:
+                raise ValueError(f"frame_triangles[{i}]: {exc}") from None
+        parts = self.place(1.0, (0.0, 0.0))
+        # The silhouette's bounds at unit scale and origin, y down; kept out of the fields, so to_json() ignores them.
+        object.__setattr__(self, "_extent", _enclosing(inst.bounds() for inst in parts))
+        total, m = ordered_sum(inst.area() for inst in parts), SurfaceAreaModel
+        # The paper's reference area of each slot, in place()'s slot order.
+        for inst, cm2 in zip(parts, (m.WHEEL_AREA_CM2, m.WHEEL_AREA_CM2, m.FRAME_AREA_CM2, m.HANDLEBAR_AREA_CM2)):
+            share, expected = inst.area() / total, cm2 / m.TOTAL_AREA_CM2
+            deviation = abs(share / expected - 1.0)
             if deviation > _PROPORTION_TOLERANCE:
                 raise ValueError(
-                    f"{slot} fills {share:.1%} of the silhouette but the area model "
-                    f"expects {expected[slot]:.1%} (off by {deviation:.0%})"
+                    f"{inst.slot} fills {share:.1%} of the silhouette but the area model "
+                    f"expects {expected:.1%} (off by {deviation:.0%})"
                 )
 
     def total_length(self) -> float:
@@ -233,6 +236,10 @@ class Scene:
         object.__setattr__(self, "origin", _finite_floats(self.origin, 2, "origin"))
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        # The template's unit extent through place()'s map: the placed parts' bounds, up to rounding.
+        (ox, oy), (x0, y0, x1, y1), s = self.origin, self.template._extent, self.scale
+        if not (0.0 <= min(ox + x0 * s, oy + y0 * s) and max(ox + x1 * s, oy + y1 * s) <= CANVAS_SIZE):
+            raise ValueError(f"origin and scale must put the bicycle on the canvas, got {self.origin} and {s}")
 
     @cached_property
     def _parts(self) -> tuple[PartInstance, ...]:
@@ -513,10 +520,6 @@ class EstimatorError:
         return self.truth.band
 
     @property
-    def band_agreement(self) -> bool:
-        return self.estimated_band == self.exact_band
-
-    @property
     def abs_error(self) -> float:
         return abs(self.estimated_occlusion - self.exact_occlusion)
 
@@ -536,22 +539,22 @@ def estimator_error(scene: Scene, config: ClassifierConfig | None = None) -> Est
 
 @dataclass(frozen=True)
 class ExperimentStats:
-    """Estimator-vs-oracle statistics over a batch of scene records, derived from the records alone."""
+    """Estimator-vs-oracle statistics over a batch of scene records, each read once as it comes and none kept."""
 
-    results: tuple[EstimatorError, ...] = field(repr=False)
+    records: InitVar[Iterable[EstimatorError]]
     scene_count: int = field(init=False)
     mean_abs_error: float = field(init=False)
     max_abs_error: float = field(init=False)
     band_agreement_rate: float = field(init=False)
     confusion: "evaluation.BandConfusion" = field(init=False)
 
-    def __post_init__(self) -> None:
-        results = self.results
-        if not results:
+    def __post_init__(self, records: Iterable[EstimatorError]) -> None:
+        rows = [(r.abs_error, r.estimated_band, r.exact_band) for r in records]
+        if not rows:
             raise ValueError("a batch needs at least one scene")
-        errors = [r.abs_error for r in results]
-        confusion = evaluation.band_confusion([r.estimated_band for r in results], [r.exact_band for r in results])
-        object.__setattr__(self, "scene_count", len(results))
+        errors, estimated, exact = zip(*rows)
+        confusion = evaluation.band_confusion(estimated, exact)
+        object.__setattr__(self, "scene_count", len(rows))
         object.__setattr__(self, "mean_abs_error", ordered_sum(errors) / len(errors))
         object.__setattr__(self, "max_abs_error", max(errors))
         object.__setattr__(self, "band_agreement_rate", confusion.agreement_rate())
@@ -583,9 +586,10 @@ def run_batch(
     """
     if scene_count <= 0:
         raise ValueError("scene_count must be positive")
-    target_rng = random.Random(base_seed)
-    results = []
-    for i in range(scene_count):
-        target = coverage_target if coverage_target is not None else target_rng.uniform(0.0, 0.8)
-        results.append(estimator_error(generate_scene(base_seed + i, occluder_count, target, template), config))
-    return ExperimentStats(tuple(results))
+    rng = random.Random(base_seed)
+    targets = (rng.uniform(0.0, 0.8) if coverage_target is None else coverage_target for _ in range(scene_count))
+    # Each record is made as the stats read it, so the batch's records are never held together.
+    return ExperimentStats(
+        estimator_error(generate_scene(base_seed + i, occluder_count, target, template), config)
+        for i, target in enumerate(targets)
+    )

@@ -65,15 +65,15 @@ BAD_CONFIGS = [
     ('{"wheel_fractions": 5}', "wheel_fractions: expected an array"),
     ('{"wheel_fractions": [[0.85, 1.0], [0.0]]}', "wheel_fractions[1]: expected a [ratio, fraction] pair"),
     ('{"wheel_fractions": [[1.0, 1.0], [0.0, NaN]]}', "wheel_fractions[1][1]: expected a finite number, got nan"),
-    # A non-finite value names its own path, not the field whose check it would fail next (the last threshold, the
-    # total area, the share sum).
+    # A non-finite value names its own path, not the field whose check it would fail next (last threshold, share sum).
     ('{"wheel_fractions": [[0.85, 1.0], [NaN, 0.4]]}', "wheel_fractions[1][0]: expected a finite number, got nan"),
-    ('{"area_model": {"wheel_area_cm2": 1e999}}', "area_model.wheel_area_cm2: expected a finite number, got inf"),
+    # The reference areas are constants, not fields: a config that names one is refused before its value is read.
+    ('{"area_model": {"wheel_area_cm2": 1e999}}', "area_model.wheel_area_cm2: unknown field"),
     ('{"area_model": {"frame_share_pct": NaN}}', "area_model.frame_share_pct: expected a finite number, got nan"),
     ('{"area_model": 3}', "area_model: expected an object"),
     ('{"area_model": {"wheel_share_pct": null}}', "area_model.wheel_share_pct: expected a number, got None"),
-    ('{"area_model": {"wheel_area_cm2": Infinity, "total_area_cm2": Infinity}}',
-     "area_model.wheel_area_cm2: expected a finite number, got inf"),
+    ('{"area_model": {"wheel_share_pct": Infinity, "frame_share_pct": -Infinity}}',
+     "area_model.wheel_share_pct: expected a finite number, got inf"),
     ('{"area_model": {"bogus": 1}}', "area_model.bogus: unknown field"),
     ("[0.5]", "top level must be an object"),
     ('{"nope": 1}', "nope: unknown field"),

@@ -499,7 +499,7 @@ _config = _or_junk(
         wheel_fractions=st.lists(st.lists(st.floats(0, 1) | _numbers, min_size=2, max_size=2), max_size=5),
         detectability_floor=st.floats(0, 1),
         grouping_distance_factor=st.floats(0, 10),
-        area_model=_optional(wheel_area_cm2=_numbers, total_area_cm2=_numbers, wheel_share_pct=_numbers),
+        area_model=_optional(wheel_share_pct=_numbers, frame_share_pct=_numbers, handlebar_share_pct=_numbers),
     )
 )
 

@@ -242,6 +242,19 @@ class TestClip:
             else:
                 assert abs(ab - ba) < 1e-9
 
+    def test_plain_polygon_window_is_read_as_convex(self):
+        # A window given as a plain Polygon is converted, and checked convex, before it clips.
+        subject = Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
+        corners = [(1, 1), (3, 1), (3, 3), (1, 3)]
+        [plain], [convex] = clip(subject, Polygon(corners)), clip(subject, ConvexPolygon(corners))
+        assert plain.vertices == convex.vertices
+        assert visible_area(subject, [Polygon(corners)]) == visible_area(subject, [ConvexPolygon(corners)])
+        notched = Polygon([(1, 1), (3, 1), (2, 2), (3, 3), (1, 3)])
+        with pytest.raises(ValueError, match="^polygon is not convex$"):
+            clip(subject, notched)
+        with pytest.raises(ValueError, match="^polygon is not convex$"):
+            visible_area(subject, [notched])
+
     def test_matches_monte_carlo(self):
         rng = random.Random(23)
         checked = 0

@@ -266,6 +266,14 @@ class TestErrorPaths:
         assert self.raised([WHEEL], permissive, **{key: value}) == (f"image.{key}: {message}", f"image.{key}")
 
     @pytest.mark.parametrize("permissive", [False, True])
+    @pytest.mark.parametrize("value", [0, -5, 640.5])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_image_dimension_not_a_positive_integer(self, key, value, permissive):
+        # A finite number, so it passes the number reader; the image's own check names the image.
+        message = "image: image dimensions must be positive integers"
+        assert self.raised([WHEEL], permissive, **{key: value}) == (message, "image")
+
+    @pytest.mark.parametrize("permissive", [False, True])
     @pytest.mark.parametrize("key", ["x_min", "y_min", "x_max", "y_max"])
     def test_missing_corner_falls_back_to_center_keys(self, key, permissive):
         pred = {k: v for k, v in FRAME_CORNERS.items() if k != key}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -90,8 +91,12 @@ class TestBoundingBox:
 
 class TestSurfaceAreaModel:
     def test_default_identities(self):
+        # The paper's reference areas are constants, not fields: the config sets the three shares and nothing else.
         model = SurfaceAreaModel()
-        assert 2 * model.wheel_area_cm2 + model.frame_area_cm2 + model.handlebar_area_cm2 == 8364
+        names = [f.name for f in dataclasses.fields(model)]
+        assert names == ["wheel_share_pct", "frame_share_pct", "handlebar_share_pct"]
+        total = 2 * model.WHEEL_AREA_CM2 + model.FRAME_AREA_CM2 + model.HANDLEBAR_AREA_CM2
+        assert total == model.TOTAL_AREA_CM2 == 8364
         assert 2 * model.wheel_share_pct + model.frame_share_pct + model.handlebar_share_pct == 100.0
 
     def test_share_lookup(self):
@@ -101,8 +106,12 @@ class TestSurfaceAreaModel:
         assert model.share_pct(PartClass.HANDLEBAR) == 1.0
 
     def test_inconsistent_total_rejected(self):
-        with pytest.raises(ValueError, match="total_area_cm2"):
+        # The total is computed from the part areas, so no total can disagree with them: none can be given.
+        with pytest.raises(TypeError, match="total_area_cm2"):
             SurfaceAreaModel(total_area_cm2=9000.0)
+        with pytest.raises(ParseError) as info:
+            _parse_config(json.dumps({"area_model": {"total_area_cm2": 8364.0}}))
+        assert str(info.value) == "area_model.total_area_cm2: unknown field"
 
     def test_inconsistent_shares_rejected(self):
         with pytest.raises(ValueError, match="sum to 100"):
@@ -110,8 +119,8 @@ class TestSurfaceAreaModel:
 
     def test_invariant_is_an_error_at_the_object_path(self):
         with pytest.raises(ParseError) as info:
-            _parse_config(json.dumps({"area_model": {"total_area_cm2": 9000.0}}))
-        message = "total_area_cm2 must equal 2*wheel + frame + handlebar (8364.0), got 9000.0"
+            _parse_config(json.dumps({"area_model": {"wheel_share_pct": 40.0}}))
+        message = "part shares must sum to 100.0, got 98.0"
         assert (info.value.path, str(info.value)) == ("area_model", f"area_model: {message}")
 
 
@@ -133,6 +142,10 @@ class TestClassifierConfig:
     def test_last_threshold_must_be_zero(self):
         with pytest.raises(ValueError, match="must be 0.0"):
             ClassifierConfig(wheel_fractions=((0.85, 1.0), (0.6, 0.7), (0.45, 0.5), (0.1, 0.4)))
+
+    def test_wheel_fractions_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="^wheel_fractions must not be empty$"):
+            ClassifierConfig(wheel_fractions=())
 
     def test_first_fraction_must_be_one(self):
         with pytest.raises(ValueError, match="first fraction"):
@@ -171,10 +184,7 @@ class TestClassifierConfig:
             wheel_fractions=((0.9, 1.0), (0.5, 0.6), (0.0, 0.25)),
             detectability_floor=1,
             grouping_distance_factor=2.75,
-            area_model=SurfaceAreaModel(
-                wheel_area_cm2=3000.0, frame_area_cm2=2000.0, handlebar_area_cm2=164.0, total_area_cm2=8164.0,
-                wheel_share_pct=37.5, frame_share_pct=23.0, handlebar_share_pct=2.0,
-            ),
+            area_model=SurfaceAreaModel(wheel_share_pct=37.5, frame_share_pct=23.0, handlebar_share_pct=2.0),
         ),
     ], ids=["default", "threshold", "every-field"])
     def test_roundtrip(self, config):

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import random
+import re
+import weakref
 from types import MappingProxyType
 from collections import Counter
 from dataclasses import asdict, astuple, replace
@@ -249,6 +251,28 @@ class TestBicycleTemplate:
                 assert self.bits(scene.template.place(scale, origin)) == expected
             assert self.bits(scene.part_instances()) == self.bits(scene.template.place(scene.scale, scene.origin))
 
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"handlebar_rect": (1.22, 1.00, 1.35, 0.90)}, "handlebar_rect must have x_min < x_max and y_min < y_max"),
+            ({"handlebar_rect": (1.35, 0.90, 1.22, 1.00)}, "handlebar_rect must have x_min < x_max and y_min < y_max"),
+            ({"handlebar_rect": (1.22, 1.00, 1.35, 1.00)}, "handlebar_rect must have x_min < x_max and y_min < y_max"),
+            ({"handlebar_rect": (1.22, math.nan, 1.35, 1.00)}, "handlebar_rect must be 4 finite numbers"),
+            ({"handlebar_rect": (1.22, 0.90, 1.35)}, "handlebar_rect must be 4 finite numbers"),
+            ({"frame_triangles": (((0.35, 0.35), (0.75, 0.75), (1.15, 1.15)), BicycleTemplate.frame_triangles[1])},
+             "frame_triangles[0]: degenerate polygon: zero area"),
+            ({"frame_triangles": (BicycleTemplate.frame_triangles[0], ((0.82, 0.35), (0.75, math.nan), (1.28, 0.72)))},
+             "frame_triangles[1]: polygon vertices must be finite"),
+        ],
+        ids=["inverted-y-handlebar", "inverted-x-handlebar", "flat-handlebar", "nan-handlebar", "3-number-handlebar",
+             "flat-frame-triangle", "nan-frame-triangle"],
+    )
+    def test_bad_parts_rejected_by_field(self, change, message):
+        # An inverted handlebar would put its bottom where max_height reads its top; a degenerate part is named by its
+        # field, not only by the polygon's own error.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            BicycleTemplate(**change)
+
 
 class TestSceneGeneration:
     def test_zero_occluders_fully_visible(self):
@@ -330,6 +354,23 @@ class TestSceneGeneration:
         s = generate_scene(3, 1, 0.3)
         with pytest.raises(ValueError, match=f"^{field} must be"):
             replace(s, **change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"origin": (5000.0, 5000.0)}, {"origin": (-1.0, 391.9)}, {"origin": (300.0, 391.9)}, {"origin": (116.9, 100.0)},
+         {"origin": (116.9, 640.5)}, {"scale": 400.0}],
+        ids=["far-off", "left", "right", "top", "bottom", "too-large"],
+    )
+    def test_bicycle_off_the_canvas_rejected(self, change):
+        # Off the canvas every visible bbox clamps to nothing: the truth would read 0 % occlusion and the estimate 100 %.
+        s = generate_scene(3, 1, 0.3)
+        with pytest.raises(ValueError, match=r"^origin and scale must put the bicycle on the canvas, got \("):
+            replace(s, **change)
+
+    def test_bicycle_touching_the_canvas_edges_accepted(self):
+        # The wheels' bottom and the rear wheel's left edge map exactly, so a bicycle in the corner is on the canvas.
+        x0, y0, x1, y1 = replace(generate_scene(3, 1, 0.3), origin=(0.0, 640.0)).bicycle_bounds()
+        assert (x0, y1) == (0.0, 640.0) and 0 < y0 and x1 < 640
 
     def test_scene_values_read_as_floats(self):
         s = generate_scene(3, 1, 0.3)
@@ -517,7 +558,7 @@ class TestEstimatorError:
         result = estimator_error(generate_scene(7, 0, 0.0))
         assert result.estimated_occlusion == 0.0
         assert result.exact_occlusion == 0.0
-        assert result.band_agreement
+        assert result.estimated_band == result.exact_band
 
     def test_full_wheel_share_agreement(self):
         result = estimator_error(isolated_scene([(48.0, 388.0, 262.0, 602.0)]))
@@ -594,19 +635,20 @@ class TestEstimatorError:
     def test_records_cannot_be_hashed_and_say_so(self):
         # A report's contributions are a dict: hashing fails at once, naming the record, not 'dict'.
         record = estimator_error(generate_scene(3, 1, 0.3))
-        named = [(record.estimate, "VisibilityReport"), (record.truth, "GroundTruth"), (record, "GroundTruth"),
-                 (run_batch(2, 1), "GroundTruth")]
+        named = [(record.estimate, "VisibilityReport"), (record.truth, "GroundTruth"), (record, "GroundTruth")]
         for value, name in named:
             with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
                 hash(value)
         assert record == estimator_error(generate_scene(3, 1, 0.3))
+        # A batch keeps only its numbers, so it hashes, and by value.
+        assert hash(run_batch(2, 1)) == hash(run_batch(2, 1))
 
     def test_everything_hidden_both_full_occlusion(self):
         scene = isolated_scene([(0.0, 0.0, 640.0, 640.0)])
         result = estimator_error(scene)
         assert result.estimated_occlusion == 100.0
         assert result.exact_occlusion == 100.0
-        assert result.band_agreement
+        assert result.estimated_band == result.exact_band
 
     def test_estimated_drop_bounded_by_wheel_step(self):
         # Adding an occluder can only lower the estimate by at most one
@@ -666,10 +708,16 @@ class TestRunBatch:
         assert stats.mean_abs_error == 0.0
         assert stats.band_agreement_rate == 1.0
 
+    @staticmethod
+    def records(scene_count, base_seed):
+        # run_batch's records, made apart from it: scene i has seed base_seed + i and the i-th target drawn.
+        draw = random.Random(base_seed).uniform
+        return [estimator_error(generate_scene(base_seed + i, 1, draw(0.0, 0.8))) for i in range(scene_count)]
+
     def test_confusion_marginals_match_results(self):
-        stats = run_batch(40, 11)
-        assert stats.confusion.total() == stats.scene_count
-        agree = sum(1 for r in stats.results if r.band_agreement)
+        stats, records = run_batch(40, 11), self.records(40, 11)
+        assert stats.confusion.total() == stats.scene_count == len(records)
+        agree = sum(1 for r in records if r.estimated_band == r.exact_band)
         assert stats.band_agreement_rate == pytest.approx(agree / stats.scene_count)
 
     def test_rejects_empty(self):
@@ -677,8 +725,24 @@ class TestRunBatch:
             run_batch(0, 1)
 
     def test_stats_derived_from_records(self):
-        stats = run_batch(40, 11)
-        assert ExperimentStats(stats.results).to_dict() == stats.to_dict()
+        stats, records = run_batch(40, 11), self.records(40, 11)
+        assert ExperimentStats(records) == ExperimentStats(iter(records)) == stats
+        assert ExperimentStats(records).to_dict() == stats.to_dict()
+
+    def test_batch_holds_no_records(self, monkeypatch):
+        # Each record is read as it is made: when the next is made, at most the one just read is still alive.
+        made, alive = [], []
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            record = estimator_error(*args)
+            made.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(synthetic, "estimator_error", counted)
+        stats = run_batch(30, 11)
+        assert len(made) == 30 and max(alive) <= 1 and all(ref() is None for ref in made)
+        assert list(vars(stats)) == ["scene_count", "mean_abs_error", "max_abs_error", "band_agreement_rate", "confusion"]
 
     def test_stats_reject_empty_batch(self):
         with pytest.raises(ValueError, match="at least one scene"):
