@@ -31,8 +31,6 @@ _EXPORTS = {
         "BandConfusion",
         "ReportSummary",
         "band_confusion",
-        "band_histogram",
-        "render_visibility_table",
         "summarize",
     ),
     "geometry": ("ConvexPolygon", "Polygon", "circle_polygon", "clip", "rect_polygon", "visible_area"),
@@ -40,7 +38,6 @@ _EXPORTS = {
         "ParseError",
         "load_detections",
         "parse_detections",
-        "reports_from_json",
         "reports_to_csv",
         "reports_to_json",
         "write_reports",

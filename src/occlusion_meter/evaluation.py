@@ -1,16 +1,16 @@
-"""Aggregate statistics and table rendering for visibility reports."""
+"""Aggregate statistics over visibility reports and band pairs, and their plain-text renderings."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import OcclusionBand, VisibilityReport
 
 BAND_ORDER: tuple[OcclusionBand, ...] = tuple(OcclusionBand)
+_INDEX = {band: i for i, band in enumerate(BAND_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,19 @@ def summarize(reports: Sequence[VisibilityReport]) -> ReportSummary:
     )
 
 
-def band_histogram(reports: Sequence[VisibilityReport]) -> dict[OcclusionBand, int]:
-    """Report count per occlusion band; all four bands are always present."""
-    counts = {band: 0 for band in BAND_ORDER}
-    for report in reports:
-        counts[report.band] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class BandConfusion:
     """Band agreement matrix: rows are exact bands, columns estimated."""
 
     matrix: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_counts(cls, pairs: Mapping[tuple[OcclusionBand, OcclusionBand], int]) -> BandConfusion:
+        """The matrix of counts per (estimated, exact) band pair; a pair left out counts 0."""
+        counts = [[0] * len(BAND_ORDER) for _ in BAND_ORDER]
+        for (est, ref), count in pairs.items():
+            counts[_INDEX[ref]][_INDEX[est]] += count
+        return cls(tuple(map(tuple, counts)))
 
     def total(self) -> int:
         return sum(sum(row) for row in self.matrix)
@@ -78,48 +78,7 @@ def band_confusion(
         raise ValueError(
             f"estimated and exact lists differ in length: {len(estimated)} vs {len(exact)}"
         )
-    index = {band: i for i, band in enumerate(BAND_ORDER)}
-    counts = [[0] * len(BAND_ORDER) for _ in BAND_ORDER]
-    for est, ref in zip(estimated, exact):
-        counts[index[ref]][index[est]] += 1
-    return BandConfusion(matrix=tuple(tuple(row) for row in counts))
-
-
-_TABLE_COLUMNS = (
-    "Scenario",
-    "Wheel (%)",
-    "Frame (%)",
-    "Handlebar (%)",
-    "Bicycle Visibility (%)",
-    "Bicycle Occlusion (%)",
-)
-
-
-def _table_rows(reports: Sequence[VisibilityReport]) -> list[list[str]]:
-    rows = []
-    for r in reports:
-        scenario = f"{r.image_id}#{r.bicycle_index}" if r.bicycle_index > 0 else r.image_id
-        pcts = (r.wheel_pct, r.frame_pct, r.handlebar_pct, r.visibility_pct, r.occlusion_pct)
-        rows.append([scenario, *(f"{v:.1f}" for v in pcts)])
-    return rows
-
-
-def render_visibility_table(reports: Sequence[VisibilityReport], format: str = "markdown") -> str:
-    """Per-bicycle visibility table, as markdown or CSV."""
-    rows = _table_rows(reports)
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        writer.writerows(rows)
-        return buffer.getvalue()
-    if format == "markdown":
-        header = "| " + " | ".join(_TABLE_COLUMNS) + " |"
-        divider = "|" + "|".join(" --- " for _ in _TABLE_COLUMNS) + "|"
-        lines = [header, divider]
-        lines.extend("| " + " | ".join(row) + " |" for row in rows)
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format: {format!r} (expected 'markdown' or 'csv')")
+    return BandConfusion.from_counts(Counter(zip(estimated, exact)))
 
 
 def render_summary(summary: ReportSummary) -> str:

@@ -1,4 +1,4 @@
-"""The package's JSON reader (detector output, configs, reports) and its report writers.
+"""The package's JSON reader (detector output, configs) and its report writers.
 
 The canonical input document mirrors the common detection-workflow export:
 
@@ -20,19 +20,18 @@ detections, and the returned frame is marked validated. The path of a field
 (``predictions[2].points[1].x``) is formatted only for the error naming it.
 
 Report output comes in two shapes: a CSV table with one-decimal percentages
-for human eyes, and a JSON array with full-precision numbers that
-round-trips losslessly through ``reports_from_json``.
+for human eyes, and a JSON array with full-precision numbers, each written
+by ``float.__repr__``, the shortest text that reads back as the same float.
 
-Every JSON document the package reads (detector output, a config, a report
-array) goes through ``_decode``, so each decode failure is a ``ParseError``,
-and every file through ``_read``, so that error names the file first. Every
-number goes through ``_finite``, the one definition of a JSON number here,
-and every other bad value is a ``ParseError`` naming its JSON path
-(``area_model.wheel_share_pct``, ``wheel_fractions[1][0]``,
-``[3].part_contributions.wheel[1]``). A config or report reads as its type's
-constructor builds it; an invariant the constructor checks (``model.py``,
-in its own words) is a ``ParseError`` at the path of that object. The report
-reader takes exactly the fields ``reports_to_json`` writes.
+Every JSON document the package reads (detector output, a config) goes
+through ``_decode``, so each decode failure is a ``ParseError``, and every
+file through ``_read``, so that error names the file first. Every number
+goes through ``_finite``, the one definition of a JSON number here, and
+every other bad value is a ``ParseError`` naming its JSON path
+(``area_model.wheel_share_pct``, ``wheel_fractions[1][0]``). A config
+reads as its type's constructor builds it; an invariant the constructor
+checks (``model.py``, in its own words) is a ``ParseError`` at the path of
+that object.
 """
 
 from __future__ import annotations
@@ -369,42 +368,6 @@ def reports_to_json(reports: Sequence[VisibilityReport]) -> str:
     """
     body = ",\n".join(map(_json_report, reports))
     return f"[\n{body}\n]" if body else "[]"
-
-
-_REPORT_KEYS = frozenset(f.name for f in dataclasses.fields(VisibilityReport))
-_PART_KEYS = frozenset(part.value for part in PARTS)
-
-
-def _report(item, path: str) -> VisibilityReport:
-    # One object as reports_to_json writes it, each part optional. The report is built from the contributions, and the
-    # stated numbers and band are checked against it; a visibility within 1e-9 of the derived one reads as it.
-    _object(item, path, _REPORT_KEYS)
-    where = f"{path}.part_contributions"
-    parts = _object(_require(item, "part_contributions", path), where, _PART_KEYS)
-    contributions = {PartClass(part): _array(values, f"{where}.{part}") for part, values in parts.items()}
-    report = _built(
-        VisibilityReport, path, _require(item, "image_id", path), _require(item, "bicycle_index", path), contributions
-    )
-    visibility = _number(item, "visibility_pct", path)
-    if abs(visibility - report.visibility_pct) > 1e-9:
-        raise ParseError(f"{visibility} is not the contributions' clamped sum {report.visibility_pct}",
-                         f"{path}.visibility_pct")
-    occlusion = _number(item, "occlusion_pct", path)
-    if abs(visibility + occlusion - 100.0) > 1e-9:
-        raise ParseError(f"visibility + occlusion must equal 100, got {visibility} + {occlusion}",
-                         f"{path}.occlusion_pct")
-    band = _require(item, "band", path)
-    if band != report.band.value:
-        raise ParseError(f"{band!r} is not the band of occlusion_pct {report.occlusion_pct}", f"{path}.band")
-    return report
-
-
-def reports_from_json(document: bytes | str) -> list[VisibilityReport]:
-    """Inverse of ``reports_to_json``, reproducing the reports exactly; a ParseError names the bad field's path."""
-    data = _decode(document)
-    if not isinstance(data, list):
-        raise ParseError("top level must be an array of report objects")
-    return [_report(item, f"[{index}]") for index, item in enumerate(data)]
 
 
 def write_reports(reports: Sequence[VisibilityReport], format: str = "csv") -> str:

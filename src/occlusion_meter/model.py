@@ -17,7 +17,7 @@ Configuration types (``SurfaceAreaModel``, ``ClassifierConfig``) are built by
 humans, so they validate eagerly; ``DEFAULT_CONFIG`` is the one default.
 
 This module holds types and their invariants and reads no JSON: ``ingest``
-reads config and report documents, and raises a constructor's ``ValueError``
+reads config documents, and raises a constructor's ``ValueError``
 as a ``ParseError`` at the path of the object it was building.
 
 All types are immutable after construction and safe to share across workers.
@@ -345,8 +345,8 @@ class VisibilityReport:
     given within each part, clamped to [0, 100]; ``occlusion_pct`` is 100
     minus it and ``band`` its band. The rule lives only here. ``image_id``
     must be a ``str`` and ``bicycle_index`` a non-negative ``int`` (not a
-    bool), so every report is one ``reports_from_json`` reads back. Reports
-    compare by value but are unhashable: a table keys on their signatures.
+    bool), so ``ingest.reports_to_json`` writes every report as ``to_dict()``
+    would be dumped. Reports compare by value but are unhashable.
     """
 
     __hash__ = None
@@ -358,7 +358,7 @@ class VisibilityReport:
     band: OcclusionBand = field(init=False)
 
     def __post_init__(self) -> None:
-        # A str id and an exact int index (a bool is not one): the only scalars the JSON writer and reader take there.
+        # A str id and an exact int index (a bool is not one): the only scalars the JSON writer takes there.
         if not isinstance(self.image_id, str):
             raise ValueError(f"report field image_id: expected a string, got {self.image_id!r}")
         if type(self.bicycle_index) is not int:

@@ -242,8 +242,7 @@ def test_criterion_7_end_to_end_oracle_experiment():
     assert [list(row) for row in stats.confusion.matrix] == pinned["confusion"]
 
     # same-seed rerun determinism on a slice
-    again = run_batch(50, 42, occluder_count=1)
-    assert again.to_dict() == run_batch(50, 42, occluder_count=1).to_dict()
+    assert run_batch(50, 42, occluder_count=1) == run_batch(50, 42, occluder_count=1)
     print(
         f"\nACCEPTANCE 7 oracle-experiment: PASS "
         f"(mae={stats.mean_abs_error:.2f} <= 12.3, band agreement {stats.band_agreement_rate:.1%})"

@@ -1,19 +1,15 @@
-import csv
-import io
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from occlusion_meter.classifier import occlusion_band
 from occlusion_meter.evaluation import (
     BAND_ORDER,
     BandConfusion,
     band_confusion,
-    band_histogram,
     render_confusion,
     render_summary,
-    render_visibility_table,
     summarize,
 )
 from occlusion_meter.model import OcclusionBand, PartClass, VisibilityReport
@@ -68,35 +64,6 @@ class TestSummarize:
         assert summarize([report(v) for v in values]).visibility_mean == math.fsum(values) / len(values)
 
 
-class TestBandHistogram:
-    def test_reference_collection(self, scenario_reports):
-        # expectation derived by applying the band mapping to the nine
-        # published occlusion values
-        occlusions = [12.3, 20.5, 24.6, 79.5, 0.0, 0.0, 12.3, 21.5, 58.0]
-        expected = {band: 0 for band in BAND_ORDER}
-        for value in occlusions:
-            expected[occlusion_band(value)] += 1
-        assert expected == {
-            OcclusionBand.LOW_OR_NONE: 2,
-            OcclusionBand.PARTIAL: 5,
-            OcclusionBand.HEAVY: 2,
-            OcclusionBand.SEVERE: 0,
-        }
-        assert band_histogram(scenario_reports) == expected
-
-    def test_empty_all_zeros(self):
-        assert band_histogram([]) == {band: 0 for band in BAND_ORDER}
-
-    def test_identical_inputs_single_bucket(self):
-        reports = [report(50.0) for _ in range(7)]
-        histogram = band_histogram(reports)
-        assert histogram[OcclusionBand.HEAVY] == 7
-        assert sum(histogram.values()) == 7
-
-    def test_counts_sum_to_report_count(self, scenario_reports):
-        assert sum(band_histogram(scenario_reports).values()) == len(scenario_reports)
-
-
 class TestBandConfusion:
     def test_identical_lists_diagonal(self):
         bands = [OcclusionBand.LOW_OR_NONE, OcclusionBand.HEAVY, OcclusionBand.HEAVY, OcclusionBand.SEVERE]
@@ -117,6 +84,16 @@ class TestBandConfusion:
         assert tuple(map(sum, zip(*confusion.matrix))) == tuple(direct_est[band] for band in BAND_ORDER)
         assert confusion.total() == 200
 
+    def test_is_the_matrix_of_the_pair_counts(self):
+        rng = random.Random(15)
+        estimated = [rng.choice(BAND_ORDER) for _ in range(300)]
+        exact = [rng.choice(BAND_ORDER) for _ in range(300)]
+        pairs = Counter(zip(estimated, exact))
+        confusion = band_confusion(estimated, exact)
+        assert confusion == BandConfusion.from_counts(pairs) == BandConfusion.from_counts(dict(pairs))
+        assert confusion.matrix == tuple(tuple(pairs[est, ref] for est in BAND_ORDER) for ref in BAND_ORDER)
+        assert BandConfusion.from_counts({}).total() == 0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             band_confusion([OcclusionBand.HEAVY], [])
@@ -134,30 +111,6 @@ class TestBandConfusion:
 
 
 class TestRenderers:
-    def test_markdown_layout(self, scenario_reports):
-        text = render_visibility_table(scenario_reports, "markdown")
-        lines = text.splitlines()
-        assert lines[0].startswith("| Scenario | Wheel (%) | Frame (%) | Handlebar (%)")
-        assert "| scenario_a | 69.7 | 17.0 | 1.0 | 87.7 | 12.3 |" in lines
-
-    def test_csv_layout(self, scenario_reports):
-        text = render_visibility_table(scenario_reports, "csv")
-        lines = text.splitlines()
-        assert lines[0] == "Scenario,Wheel (%),Frame (%),Handlebar (%),Bicycle Visibility (%),Bicycle Occlusion (%)"
-        assert "scenario_e,82.0,17.0,1.0,100.0,0.0" in lines
-
-    def test_csv_quotes_ids_with_commas_and_quotes(self):
-        # An image id is any string from detector JSON.
-        reports = [report(62.5, image_id='cam 3, frame "7"'), report(40.0, image_id="a,b", index=1)]
-        rows = list(csv.reader(io.StringIO(render_visibility_table(reports, "csv"))))
-        assert all(len(row) == 6 for row in rows)
-        assert [row[0] for row in rows[1:]] == ['cam 3, frame "7"', "a,b#1"]
-        assert rows[1][4] == "62.5"
-
-    def test_unknown_format_rejected(self, scenario_reports):
-        with pytest.raises(ValueError, match="unknown table format"):
-            render_visibility_table(scenario_reports, "html")
-
     def test_summary_rendering_stable(self, scenario_reports):
         text = render_summary(summarize(scenario_reports))
         assert "visibility_mean=74.59" in text

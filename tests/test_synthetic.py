@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import compressed_visible_bbox, mc_visible_area
 from occlusion_meter import geometry, ingest, synthetic
 from occlusion_meter.classifier import _prune_group
+from occlusion_meter.evaluation import band_confusion
 from occlusion_meter.geometry import rect_polygon
 from occlusion_meter.model import (
     PART_LIMITS,
@@ -183,10 +184,20 @@ class TestBicycleTemplate:
         parts = [inst.part for inst in BicycleTemplate().place(1.0, (0.0, 0.0))]
         assert parts == [PartClass.WHEEL, PartClass.WHEEL, PartClass.FRAME, PartClass.HANDLEBAR]
 
-    @pytest.mark.parametrize("change", [{"wheel_radius": 0.0}, {"wheelbase": -1.05}])
+    @pytest.mark.parametrize(
+        "change", [{"wheel_radius": 0.0}, {"wheelbase": -1.05}, {"wheel_radius": math.nan}, {"wheelbase": math.inf}]
+    )
     def test_size_not_positive_rejected(self, change):
-        with pytest.raises(ValueError, match="^wheel_radius and wheelbase must be positive$"):
+        [(name, value)] = change.items()
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
             BicycleTemplate(**change)
+
+    @pytest.mark.parametrize("shape", ["one", "three", "quad"])
+    def test_frame_triangle_count_rejected(self, shape):
+        a, b = BicycleTemplate().frame_triangles
+        triangles = {"one": (a,), "three": (a, b, a), "quad": (a, (*b, (1.0, 0.5)))}[shape]
+        with pytest.raises(ValueError, match="^frame_triangles must be 2 triangles of 3 points each, got"):
+            BicycleTemplate(frame_triangles=triangles)
 
     def test_length_out_of_envelope_rejected(self):
         with pytest.raises(ValueError, match="total length"):
@@ -699,9 +710,7 @@ class TestEstimatorError:
 
 class TestRunBatch:
     def test_deterministic(self):
-        a = run_batch(20, 5)
-        b = run_batch(20, 5)
-        assert a.to_dict() == b.to_dict()
+        assert run_batch(20, 5) == run_batch(20, 5)
 
     def test_fixed_coverage_propagates(self):
         stats = run_batch(5, 1, occluder_count=0, coverage_target=0.0)
@@ -727,7 +736,10 @@ class TestRunBatch:
     def test_stats_derived_from_records(self):
         stats, records = run_batch(40, 11), self.records(40, 11)
         assert ExperimentStats(records) == ExperimentStats(iter(records)) == stats
-        assert ExperimentStats(records).to_dict() == stats.to_dict()
+        # The stats as read from the batch's rows at once, each field bit for bit.
+        errors, estimated, exact = zip(*[(r.abs_error, r.estimated_band, r.exact_band) for r in records])
+        assert (stats.mean_abs_error, stats.max_abs_error) == (ordered_sum(errors) / len(errors), max(errors))
+        assert stats.confusion == band_confusion(estimated, exact)
 
     def test_batch_holds_no_records(self, monkeypatch):
         # Each record is read as it is made: when the next is made, at most the one just read is still alive.
