@@ -94,6 +94,21 @@ class TestBandConfusion:
         assert confusion.matrix == tuple(tuple(pairs[est, ref] for est in BAND_ORDER) for ref in BAND_ORDER)
         assert BandConfusion.from_counts({}).total() == 0
 
+    @pytest.mark.parametrize("est", BAND_ORDER, ids=lambda band: f"est_{band.value}")
+    @pytest.mark.parametrize("ref", BAND_ORDER, ids=lambda band: f"exact_{band.value}")
+    def test_one_pair_is_counted_at_its_exact_row_and_estimated_column(self, est, ref):
+        confusion = band_confusion([est, est, est], [ref, ref, ref])
+        cells = {(i, j): v for i, row in enumerate(confusion.matrix) for j, v in enumerate(row) if v}
+        assert cells == {(BAND_ORDER.index(ref), BAND_ORDER.index(est)): 3}
+        assert confusion == BandConfusion.from_counts({(est, ref): 3})
+        assert confusion.agreement_rate() == (1.0 if est is ref else 0.0)
+
+    def test_from_counts_adds_zero_counts_as_nothing(self):
+        heavy, severe = OcclusionBand.HEAVY, OcclusionBand.SEVERE
+        confusion = BandConfusion.from_counts({(heavy, severe): 0, (severe, heavy): 2, (heavy, heavy): 0})
+        assert confusion == band_confusion([severe, severe], [heavy, heavy])
+        assert confusion.total() == 2
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             band_confusion([OcclusionBand.HEAVY], [])

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
@@ -469,6 +471,14 @@ class TestWriteReports:
     def test_empty_reports_header_only(self):
         text = reports_to_csv([])
         assert text.splitlines() == [",".join(CSV_HEADER)]
+
+    @pytest.mark.parametrize(
+        "image_id", ["a,b", 'say "hi"', "two\nlines", " padded ", ""], ids=["comma", "quote", "newline", "spaces", "empty"]
+    )
+    def test_csv_reads_back_as_the_id_and_one_decimal_percentages(self, image_id):
+        report = model.VisibilityReport(image_id, 2, {PartClass.WHEEL: (41.0, 20.04), PartClass.FRAME: (17.0,)})
+        rows = list(csv.reader(io.StringIO(reports_to_csv([report]), newline="")))
+        assert rows == [CSV_HEADER, [image_id, "2", "61.0", "17.0", "0.0", "78.0", "22.0", "partial"]]
 
     def test_write_reports_dispatch(self, scenario_reports):
         assert write_reports(scenario_reports, "csv") == reports_to_csv(scenario_reports)

@@ -276,6 +276,49 @@ class TestVisibilityReport:
         with pytest.raises(ValueError, match="too many wheel"):
             self._report(part_contributions={PartClass.WHEEL: (41.0, 41.0, 41.0)})
 
+    @pytest.mark.parametrize("part, limit", [(PartClass.FRAME, 1), (PartClass.HANDLEBAR, 1)])
+    def test_each_part_capped_at_its_limit(self, part, limit):
+        assert self._report(part_contributions={part: (1.0,) * limit}).part_contributions[part] == (1.0,) * limit
+        with pytest.raises(ValueError) as info:
+            self._report(part_contributions={part: (1.0,) * (limit + 1)})
+        assert str(info.value) == f"too many {part.value} contributions: {limit + 1} (max {limit})"
+
+    @pytest.mark.parametrize("visibility, band", [
+        (100.0, OcclusionBand.LOW_OR_NONE),
+        (90.00000000000001, OcclusionBand.LOW_OR_NONE),
+        (90.0, OcclusionBand.PARTIAL),
+        (60.00000000000001, OcclusionBand.PARTIAL),
+        (60.0, OcclusionBand.HEAVY),
+        (20.0, OcclusionBand.HEAVY),
+        (19.99, OcclusionBand.SEVERE),
+        (0.0, OcclusionBand.SEVERE),
+    ])
+    def test_band_is_the_band_of_the_derived_occlusion(self, visibility, band):
+        # Each side of the 10 %, 40 % and 80 % occlusion boundaries, read from the stored occlusion_pct.
+        report = self._report(part_contributions={PartClass.FRAME: (visibility,)})
+        assert (report.visibility_pct, report.occlusion_pct) == (visibility, 100.0 - visibility)
+        assert report.band is band
+
+    @pytest.mark.parametrize("contributions, visibility", [
+        ({PartClass.WHEEL: (60.0, 60.0)}, 100.0),
+        ({PartClass.FRAME: (-0.5,), PartClass.HANDLEBAR: (0.25,)}, 0.0),
+        ({PartClass.WHEEL: (0.1, 0.2), PartClass.FRAME: (0.3,)}, 0.6000000000000001),
+        ({PartClass.HANDLEBAR: (0.3,), PartClass.WHEEL: (0.1, 0.2)}, 0.6000000000000001),
+        ({PartClass.WHEEL: (1e16, 1.0), PartClass.FRAME: (-1e16,)}, 0.0),
+    ], ids=["clamped_high", "clamped_low", "in_order", "part_order_not_key_order", "not_compensated"])
+    def test_visibility_is_the_clamped_ordered_sum(self, contributions, visibility):
+        # Added one at a time in PartClass order, not fsum and not the mapping's key order.
+        report = self._report(part_contributions=contributions)
+        assert repr(report.visibility_pct) == repr(visibility)
+        assert list(report.part_contributions) == list(PartClass)
+
+    def test_int_contributions_are_stored_as_floats(self):
+        report = self._report(part_contributions={PartClass.WHEEL: [41, 41], PartClass.HANDLEBAR: iter([1])})
+        expected = {PartClass.WHEEL: (41.0, 41.0), PartClass.FRAME: (), PartClass.HANDLEBAR: (1.0,)}
+        assert report.part_contributions == expected
+        assert all(type(v) is float for values in report.part_contributions.values() for v in values)
+        assert (type(report.visibility_pct), report.visibility_pct, report.band) == (float, 83.0, OcclusionBand.PARTIAL)
+
     def test_json_reads_back_as_its_dict(self):
         report = self._report()
         assert json.loads(reports_to_json([report])) == [report.to_dict()]

@@ -5,7 +5,7 @@ import math
 import random
 import re
 import weakref
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from collections import Counter
 from dataclasses import asdict, astuple, replace
 
@@ -185,19 +185,23 @@ class TestBicycleTemplate:
         assert parts == [PartClass.WHEEL, PartClass.WHEEL, PartClass.FRAME, PartClass.HANDLEBAR]
 
     @pytest.mark.parametrize(
-        "change", [{"wheel_radius": 0.0}, {"wheelbase": -1.05}, {"wheel_radius": math.nan}, {"wheelbase": math.inf}]
+        "change",
+        [
+            {"wheel_radius": 0.0}, {"wheelbase": -1.05}, {"wheel_radius": math.nan}, {"wheelbase": math.inf},
+            {"wheel_radius": -math.inf}, {"wheelbase": math.nan},
+        ],
     )
     def test_size_not_positive_rejected(self, change):
         [(name, value)] = change.items()
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
             BicycleTemplate(**change)
 
-    @pytest.mark.parametrize("shape", ["one", "three", "quad"])
+    @pytest.mark.parametrize("shape", ["one", "three", "quad", "none", "segment"])
     def test_frame_triangle_count_rejected(self, shape):
         a, b = BicycleTemplate().frame_triangles
-        triangles = {"one": (a,), "three": (a, b, a), "quad": (a, (*b, (1.0, 0.5)))}[shape]
+        shapes = {"one": (a,), "three": (a, b, a), "quad": (a, (*b, (1.0, 0.5))), "none": (), "segment": (a, b[:2])}
         with pytest.raises(ValueError, match="^frame_triangles must be 2 triangles of 3 points each, got"):
-            BicycleTemplate(frame_triangles=triangles)
+            BicycleTemplate(frame_triangles=shapes[shape])
 
     def test_length_out_of_envelope_rejected(self):
         with pytest.raises(ValueError, match="total length"):
@@ -740,6 +744,33 @@ class TestRunBatch:
         errors, estimated, exact = zip(*[(r.abs_error, r.estimated_band, r.exact_band) for r in records])
         assert (stats.mean_abs_error, stats.max_abs_error) == (ordered_sum(errors) / len(errors), max(errors))
         assert stats.confusion == band_confusion(estimated, exact)
+
+    @pytest.mark.parametrize("occluder_count", [0, 3, 6])
+    def test_stats_fold_the_batch_as_its_rows_read_at_once(self, occluder_count):
+        draw = random.Random(23).uniform
+        records = [estimator_error(generate_scene(23 + i, occluder_count, draw(0.0, 0.8))) for i in range(30)]
+        stats = run_batch(30, 23, occluder_count=occluder_count)
+        errors, estimated, exact = zip(*[(r.abs_error, r.estimated_band, r.exact_band) for r in records])
+        assert stats.scene_count == 30
+        assert (stats.mean_abs_error, stats.max_abs_error) == (ordered_sum(errors) / 30, max(errors))
+        assert stats.confusion == band_confusion(estimated, exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(0.0, 100.0), st.sampled_from(list(OcclusionBand)), st.sampled_from(list(OcclusionBand))),
+        min_size=1, max_size=40,
+    ))
+    def test_running_total_is_the_ordered_sum(self, rows):
+        # The stats read only these three fields of a record.
+        records = [
+            SimpleNamespace(abs_error=error, estimated_band=est, exact_band=ref) for error, est, ref in rows
+        ]
+        stats = ExperimentStats(iter(records))
+        errors, estimated, exact = zip(*rows)
+        assert (stats.scene_count, stats.max_abs_error) == (len(rows), max(errors))
+        assert repr(stats.mean_abs_error) == repr(ordered_sum(errors) / len(rows))
+        assert stats.confusion == band_confusion(estimated, exact)
+        assert stats.band_agreement_rate == stats.confusion.agreement_rate()
 
     def test_batch_holds_no_records(self, monkeypatch):
         # Each record is read as it is made: when the next is made, at most the one just read is still alive.
