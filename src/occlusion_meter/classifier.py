@@ -28,7 +28,7 @@ from .model import (
     PartClass,
     PartDetection,
     VisibilityReport,
-    occlusion_band,  # re-exported: the package exports it from here
+    occlusion_band,  # perfbench/worker.py calls classifier.occlusion_band
     ordered_sum,
     validate_frame,
 )

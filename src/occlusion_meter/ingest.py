@@ -60,20 +60,15 @@ from .model import (
     UnknownPartLabelError,
     VisibilityReport,
     mark_validated,
+    ordered_sum,
     validate_detection,
 )
 
 logger = logging.getLogger(__name__)
 
+# One column a part, in PARTS order: the order of every report's part_contributions.
 CSV_HEADER = [
-    "image_id",
-    "bicycle_index",
-    "wheel_pct",
-    "frame_pct",
-    "handlebar_pct",
-    "visibility_pct",
-    "occlusion_pct",
-    "band",
+    "image_id", "bicycle_index", *(f"{part.value}_pct" for part in PARTS), "visibility_pct", "occlusion_pct", "band"
 ]
 
 _CORNER_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max"))
@@ -338,9 +333,14 @@ def reports_to_csv(reports: Sequence[VisibilityReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
-    for r in reports:
-        pcts = (r.wheel_pct, r.frame_pct, r.handlebar_pct, r.visibility_pct, r.occlusion_pct)
-        writer.writerow([r.image_id, r.bicycle_index, *(f"{v:.1f}" for v in pcts), r.band.value])
+    # A part's column is its contributions added in order.
+    writer.writerows(
+        [
+            r.image_id, r.bicycle_index, *[f"{ordered_sum(values):.1f}" for values in r.part_contributions.values()],
+            f"{r.visibility_pct:.1f}", f"{r.occlusion_pct:.1f}", r.band.value,
+        ]
+        for r in reports
+    )
     return buffer.getvalue()
 
 

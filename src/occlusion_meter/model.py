@@ -378,18 +378,6 @@ class VisibilityReport:
         object.__setattr__(self, "occlusion_pct", 100.0 - visibility)
         object.__setattr__(self, "band", occlusion_band(100.0 - visibility))
 
-    @property
-    def wheel_pct(self) -> float:
-        return ordered_sum(self.part_contributions[PartClass.WHEEL])
-
-    @property
-    def frame_pct(self) -> float:
-        return ordered_sum(self.part_contributions[PartClass.FRAME])
-
-    @property
-    def handlebar_pct(self) -> float:
-        return ordered_sum(self.part_contributions[PartClass.HANDLEBAR])
-
     def to_dict(self) -> dict:
         return {
             "image_id": self.image_id,

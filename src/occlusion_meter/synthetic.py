@@ -98,10 +98,18 @@ def _enclosing(rects: Iterable[Rect]) -> Rect:
     return min(x0s), min(y0s), max(x1s), max(y1s)
 
 
+def _float(value) -> float:
+    # NaN unless an int or a float (ingest._finite's rule: a str or a bool is not a number), which json.dumps can write.
+    try:
+        return float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        return math.nan
+
+
 def _finite_floats(values: Iterable[float], count: int, name: str) -> tuple[float, ...]:
-    numbers = tuple(float(v) for v in values)
+    numbers = tuple(map(_float, values if hasattr(values, "__iter__") else ()))
     if len(numbers) != count or not all(map(math.isfinite, numbers)):
-        raise ValueError(f"{name} must be {count} finite numbers, got {numbers}")
+        raise ValueError(f"{name} must be {count} finite numbers, got {values!r}")
     return numbers
 
 
@@ -158,10 +166,15 @@ class BicycleTemplate:
 
     def __post_init__(self) -> None:
         for name in ("wheel_radius", "wheelbase"):
-            if not 0 < (value := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if len(self.frame_triangles) != 2 or any(len(triangle) != 3 for triangle in self.frame_triangles):
-            raise ValueError(f"frame_triangles must be 2 triangles of 3 points each, got {self.frame_triangles}")
+            if not 0 < _float(value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        try:
+            triangles = [[_finite_floats(p, 2, f"frame_triangles[{i}][{j}]") for j, p in enumerate(triangle)]
+                         for i, triangle in enumerate(self.frame_triangles)]
+        except TypeError:  # frame_triangles or one of its triangles is not iterable
+            triangles = []
+        if len(triangles) != 2 or any(len(triangle) != 3 for triangle in triangles):
+            raise ValueError(f"frame_triangles must be 2 triangles of 3 points each, got {self.frame_triangles!r}")
         length = self.total_length()
         if not _TOTAL_LENGTH_RANGE[0] <= length <= _TOTAL_LENGTH_RANGE[1]:
             raise ValueError(
@@ -172,11 +185,18 @@ class BicycleTemplate:
             raise ValueError(f"handlebar_rect must have x_min < x_max and y_min < y_max, got {self.handlebar_rect}")
         if not _HANDLEBAR_TOP_RANGE[0] <= y_max <= _HANDLEBAR_TOP_RANGE[1]:
             raise ValueError(f"handlebar top height {y_max:.3f} m outside {_HANDLEBAR_TOP_RANGE}")
-        for i, triangle in enumerate(self.frame_triangles):
+        # generate_scene places the bicycle by the box [0, total_length()] x [0, max_height()]: a point outside it
+        # could put the silhouette off the canvas, which Scene refuses.
+        named = [("handlebar_rect", [(x_min, y_min), (x_max, y_max)], self.handlebar_rect)]
+        for i, triangle in enumerate(triangles):
             try:
                 ConvexPolygon(triangle)
             except ValueError as exc:
                 raise ValueError(f"frame_triangles[{i}]: {exc}") from None
+            named.append((f"frame_triangles[{i}]", triangle, tuple(triangle)))
+        for name, points, value in named:
+            if not all(0.0 <= x <= length and y >= 0.0 for x, y in points):
+                raise ValueError(f"{name} must lie in 0 <= x <= {length!r} (total length) and y >= 0, got {value!r}")
         parts = self.place(1.0, (0.0, 0.0))
         # The silhouette's bounds at unit scale and origin, y down; kept out of the fields, so to_json() ignores them.
         object.__setattr__(self, "_extent", _enclosing(inst.bounds() for inst in parts))

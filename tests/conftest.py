@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occlusion_meter import classify_frame, load_detections
+from occlusion_meter.classifier import classify_frame
+from occlusion_meter.ingest import load_detections
 from occlusion_meter.model import BoundingBox, DetectionFrame, PartClass, PartDetection
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "scenarios"

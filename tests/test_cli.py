@@ -418,8 +418,9 @@ class TestEntryPoint:
     def test_runtime_loads_no_numpy(self):
         # The package is stdlib-only; numpy is a test dependency.
         code = (
-            "import sys, occlusion_meter, occlusion_meter.cli\n"
-            "occlusion_meter.estimator_error(occlusion_meter.generate_scene(1, 3, 0.4))\n"
+            "import sys, occlusion_meter.cli\n"
+            "from occlusion_meter.synthetic import estimator_error, generate_scene\n"
+            "estimator_error(generate_scene(1, 3, 0.4))\n"
             "print('numpy' in sys.modules)"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)

@@ -227,10 +227,8 @@ class TestVisibilityReport:
         return VisibilityReport(**kwargs)
 
     def test_part_sums(self):
-        report = self._report()
-        assert report.wheel_pct == pytest.approx(69.7)
-        assert report.frame_pct == 17.0
-        assert report.handlebar_pct == 1.0
+        # The CSV's part columns: each part's contributions added in order, to one decimal.
+        assert ingest.reports_to_csv([self._report()]).splitlines()[1] == "img,0,69.7,17.0,1.0,87.7,12.3,partial"
 
     def test_derives_visibility_occlusion_and_band(self):
         full = self._report(

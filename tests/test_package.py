@@ -1,34 +1,20 @@
-"""The package's public names, which resolve lazily from their submodules, and the functions its subcommands reach."""
+"""The package's names, each imported from the module that defines it, and the functions its subcommands reach."""
 
 import importlib
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_DIR
 
 import occlusion_meter
-from occlusion_meter import classifier
 
-
-@pytest.mark.parametrize("name", occlusion_meter.__all__)
-def test_export_is_the_submodule_attribute(name):
-    namespace = {}
-    exec(f"from occlusion_meter import {name}", namespace)
-    obj = namespace[name]
-    assert obj is getattr(importlib.import_module(obj.__module__), name)
-
-
-def test_star_import_binds_every_export():
-    namespace = {}
-    exec("from occlusion_meter import *", namespace)
-    assert set(occlusion_meter.__all__) <= set(namespace)
-
-
-def test_dir_lists_every_export():
-    assert set(occlusion_meter.__all__) <= set(dir(occlusion_meter))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_unknown_name_raises_attribute_error():
@@ -38,32 +24,66 @@ def test_unknown_name_raises_attribute_error():
         exec("from occlusion_meter import no_such_name", {})
 
 
-def test_export_follows_a_rebound_submodule_attribute(monkeypatch):
-    # Nothing is cached in the package, so a wrapper installed on the
-    # submodule (a tracer, a mock) is seen there and gone once removed.
-    original = classifier.classify_frame
-    monkeypatch.setattr(classifier, "classify_frame", lambda *args: None)
-    assert occlusion_meter.classify_frame is classifier.classify_frame
-    monkeypatch.undo()
-    assert occlusion_meter.classify_frame is original
-    assert "classify_frame" not in vars(occlusion_meter)
-
-
-def test_bare_import_loads_no_submodule_and_resolves_them():
-    code = (
-        "import sys, occlusion_meter\n"
-        "print(sorted(name for name in sys.modules if name.startswith('occlusion_meter.')))\n"
-        "print(occlusion_meter.synthetic.__name__, occlusion_meter.geometry.clip.__module__)"
-    )
+def test_bare_import_loads_no_submodule():
+    code = "import sys, occlusion_meter\nprint([name for name in sys.modules if name.startswith('occlusion_meter.')])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "occlusion_meter.synthetic occlusion_meter.geometry"]
+    assert result.stdout.splitlines() == ["[]"]
+
+
+def package_layout_rows():
+    """The README's "Package layout" table: each row's module and the backticked names in its contents."""
+    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(occlusion_meter\.\w+)` \| (.*) \|$", section, re.MULTILINE)
+    names = r"`([A-Za-z_]\w*(?:\.\w+)*)`"
+    return [(module, list(dict.fromkeys(re.findall(names, contents)))) for module, contents in rows]
+
+
+def defined_names(module):
+    """The public classes and functions ``module`` defines, not those it imports."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == module.__name__
+    }
+
+
+PACKAGE_LAYOUT = package_layout_rows()
+
+
+def test_package_layout_has_a_row_per_module():
+    package = Path(occlusion_meter.__file__).parent
+    assert sorted(module for module, _ in PACKAGE_LAYOUT) == sorted(
+        f"occlusion_meter.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"
+    )
+
+
+@pytest.mark.parametrize("module, names", PACKAGE_LAYOUT, ids=[module for module, _ in PACKAGE_LAYOUT])
+def test_package_layout_lists_every_definition(module, names):
+    # The table is the package's one index of names: a module's row names every public class and function it defines.
+    assert defined_names(importlib.import_module(module)) - set(names) == set()
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in PACKAGE_LAYOUT for name in names],
+    ids=[f"{module.rsplit('.', 1)[1]}:{name}" for module, names in PACKAGE_LAYOUT for name in names],
+)
+def test_package_layout_name_resolves(module, name):
+    # Each Python name in a row is an attribute of that row's module, or, when dotted (classifier.occlusion_band), of
+    # the package's submodule it names. A class or function listed undotted is defined there: its one import path.
+    first, *rest = name.split(".")
+    target = importlib.import_module(f"occlusion_meter.{first}" if rest else module)
+    for attribute in rest or [first]:
+        assert hasattr(target, attribute), f"{module}: {name}"
+        target = getattr(target, attribute)
+    if not rest and (inspect.isclass(target) or inspect.isfunction(target)):
+        assert target.__module__ == module
 
 
 # Every function src/occlusion_meter/*.py defines that no subcommand reaches, with why it stays.
 UNREACHED = {
-    "occlusion_meter.__getattr__": "the package's lazy public names, for library use; the CLI imports submodules",
-    "occlusion_meter.__dir__": "lists those lazy names for dir() and completion",
     "occlusion_meter.evaluation.band_confusion": "the oracle benchmark's closing step (perfbench/worker.py), traced",
     "occlusion_meter.geometry.clip": "acceptance criterion 5's clipping API; the benchmark traces it",
     "occlusion_meter.geometry.visible_area": "acceptance criterion 5's exact-area API; the benchmark traces it",
@@ -84,7 +104,7 @@ from pathlib import Path
 
 called = set()
 sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
-cli = importlib.import_module("occlusion_meter.cli")  # not `from occlusion_meter import`, which asks __getattr__
+cli = importlib.import_module("occlusion_meter.cli")
 codes = []
 for argv in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
