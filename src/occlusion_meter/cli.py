@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .classifier import calibrate_thresholds, classify_frame
-from .evaluation import render_confusion, render_summary, summarize
 from .ingest import ParseError, load_config, load_detections, write_reports
 from .model import DEFAULT_CONFIG, BoundingBox, ClassifierConfig, OcclusionMeterError, VisibilityReport
 
@@ -50,6 +49,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _batch_json(reports: list[VisibilityReport]) -> str:
+    from .evaluation import summarize
+
     # json.dumps({"reports": [r.to_dict() ...], "summary": ...}, indent=2) + "\n" byte for byte: the report writer's
     # text and the summary's (null without reports) nest a level deeper by indenting every line after the first,
     # as no encoded JSON string holds a raw newline.
@@ -59,6 +60,8 @@ def _batch_json(reports: list[VisibilityReport]) -> str:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .evaluation import render_summary, summarize
+
     config = _load_config(args)
     if not Path(args.dir).is_dir():
         raise ParseError("not a directory", args.dir)
@@ -88,7 +91,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    # Only synth runs the oracle, so only synth imports it (and geometry).
+    # Only synth runs the oracle, so only synth imports it (and geometry); only batch and synth import evaluation.
+    from .evaluation import render_confusion
     from .synthetic import run_batch
 
     config = _load_config(args)

@@ -40,7 +40,6 @@ import csv
 import dataclasses
 import io
 import json
-import logging
 import math
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -64,14 +63,13 @@ from .model import (
     validate_detection,
 )
 
-logger = logging.getLogger(__name__)
-
 # One column a part, in PARTS order: the order of every report's part_contributions.
 CSV_HEADER = [
     "image_id", "bicycle_index", *(f"{part.value}_pct" for part in PARTS), "visibility_pct", "occlusion_pct", "band"
 ]
 
 _CORNER_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max"))
+_CENTER_KEYS = frozenset(("x", "y", "width", "height"))
 
 _T = TypeVar("_T")
 
@@ -182,6 +180,13 @@ def _number(mapping, key: str, path: str, point: int | None = None) -> float:
     return _finite(value, f"{_point_path(path, point)}.{key}")
 
 
+def _drop(path: str, reason) -> None:
+    # A permissive drop's warning on this module's logger; logging is imported only when a document drops something.
+    import logging
+
+    logging.getLogger(__name__).warning("dropping %s: %s", path, reason)
+
+
 def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | None:
     path = f"predictions[{index}]"
     label = _require(pred, "class", path)
@@ -189,7 +194,7 @@ def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | Non
         part = PartClass.from_label(label)
     except UnknownPartLabelError as exc:
         if permissive:
-            logger.warning("dropping %s: %s", path, exc)
+            _drop(path, exc)
             return None
         raise ParseError(str(exc), f"{path}.class") from None
 
@@ -197,8 +202,10 @@ def _parse_prediction(pred, index: int, permissive: bool) -> PartDetection | Non
     if not 0.0 <= confidence <= 1.0:
         raise ParseError("confidence out of range", f"{path}.confidence")
 
-    # Arguments are evaluated left to right, so the first bad field is the one named.
-    if pred.keys() >= _CORNER_KEYS:
+    # Arguments are evaluated left to right, so the first bad field is the one named. A box with a corner key reads as
+    # corners unless only its center form is whole, so a missing corner key is named, not the center form's x.
+    keys = pred.keys()
+    if not keys.isdisjoint(_CORNER_KEYS) and (keys >= _CORNER_KEYS or not keys >= _CENTER_KEYS):
         bbox = BoundingBox(
             _number(pred, "x_min", path), _number(pred, "y_min", path),
             _number(pred, "x_max", path), _number(pred, "y_max", path),
@@ -258,7 +265,7 @@ def parse_detections(document: bytes | str, *, permissive: bool = False) -> Dete
             detections.append(validate_detection(det, index, width, height))
         except FrameValidationError as exc:
             if permissive:
-                logger.warning("dropping predictions[%d]: %s", index, "; ".join(exc.errors))
+                _drop(f"predictions[{index}]", "; ".join(exc.errors))
             else:
                 errors += exc.errors
     if errors:

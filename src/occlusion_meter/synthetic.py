@@ -19,7 +19,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -28,7 +27,6 @@ from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from . import evaluation
 from .classifier import classify_bicycle, classify_frame
 from .geometry import ConvexPolygon, _apart, _bounds, circle_polygon, pieces_area, rect_polygon, visible_pieces
 from .model import (
@@ -283,6 +281,8 @@ class Scene:
         return {**asdict(self), "canvas": (CANVAS_SIZE, CANVAS_SIZE)}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
@@ -572,6 +572,8 @@ class ExperimentStats:
     confusion: "evaluation.BandConfusion" = field(init=False)
 
     def __post_init__(self, records: Iterable[EstimatorError]) -> None:
+        from . import evaluation
+
         # Folded as read: the running total is ordered_sum's over the errors, bit for bit.
         total, worst, pairs = 0.0, 0.0, Counter()
         for record in records:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import subprocess
@@ -427,29 +428,76 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
-    @pytest.mark.parametrize(
-        ("argv", "loads_oracle"),
-        [
-            (["classify", str(FIXTURE_DIR / "scenario_a.json")], False),
-            (["batch", str(FIXTURE_DIR)], False),
-            (["synth", "--scenes", "2", "--seed", "1"], True),
-        ],
-        ids=["classify", "batch", "synth"],
-    )
-    def test_only_synth_loads_the_oracle(self, argv, loads_oracle):
-        # classify and batch score detector JSON; synthetic and geometry are the oracle's.
-        code = (
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from occlusion_meter import cli\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(sys.argv[1:])\n"
-            "print(code, *(name in sys.modules for name in ('occlusion_meter.synthetic', 'occlusion_meter.geometry')))"
-        )
-        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=False)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [str(EXIT_OK), str(loads_oracle), str(loads_oracle)]
 
+# Runs cli.main on its arguments in this fresh interpreter, its stdout discarded, then prints the exit code and the
+# modules loaded since start-up: those site loaded before the first line are not counted.
+_LOADS_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import io\n"
+    "from contextlib import redirect_stdout\n"
+    "from occlusion_meter import cli\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(repr((code, sorted(set(sys.modules) - before))))"
+)
+# The modules only some calls load.
+_CALL_LOADED = ("logging", "occlusion_meter.evaluation", "occlusion_meter.synthetic", "occlusion_meter.geometry")
+
+
+def loaded_by(*argv):
+    """The exit code, the stderr and the loaded modules of ``cli.main(argv)`` in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", _LOADS_PROBE, *argv], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    code, loaded = ast.literal_eval(result.stdout)
+    return code, result.stderr, set(loaded)
+
+
+@pytest.mark.parametrize(
+    ("argv", "loads"),
+    [
+        (["classify", str(FIXTURE_DIR / "scenario_a.json")], set()),
+        (["classify", str(FIXTURE_DIR / "scenario_b.json"), "--format", "json"], set()),
+        (["calibrate", str(FIXTURE_DIR.parent / "calibration_labels.csv")], set()),
+        (["batch", str(FIXTURE_DIR)], {"occlusion_meter.evaluation"}),
+        (["batch", str(FIXTURE_DIR), "--format", "json"], {"occlusion_meter.evaluation"}),
+        (["synth", "--scenes", "2", "--seed", "1"], set(_CALL_LOADED) - {"logging"}),
+    ],
+    ids=["classify-csv", "classify-json", "calibrate", "batch-csv", "batch-json", "synth"],
+)
+def test_a_subcommand_loads_only_what_it_uses(argv, loads):
+    # logging only for a permissive drop, evaluation only for batch's summary and synth's confusion, the oracle only
+    # for synth.
+    code, err, loaded = loaded_by(*argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert loaded.intersection(_CALL_LOADED) == loads
+
+
+def test_a_permissive_drop_loads_logging_to_warn(tmp_path):
+    wheel = {"class": "wheel", "confidence": 0.9, "x": 100, "y": 300, "width": 100, "height": 100}
+    path = tmp_path / "pedal.json"
+    path.write_text(json.dumps({"image": {"id": "p", "width": 640, "height": 640}, "predictions": [
+        dict(wheel, **{"class": "pedal"}), wheel,
+    ]}), encoding="utf-8")
+    code, err, loaded = loaded_by("classify", str(path), "--permissive")
+    assert (code, err) == (EXIT_OK, "dropping predictions[0]: unknown part label: pedal\n")
+    assert loaded.intersection(_CALL_LOADED) == {"logging"}
+
+
+def test_the_oracle_loads_no_reader_writer_or_logging():
+    # One scene's estimate against its ground truth: json only Scene.to_json, evaluation only a batch's stats need.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from occlusion_meter.synthetic import estimator_error, generate_scene\n"
+        "estimator_error(generate_scene(1, 1, 0.3))\n"
+        "print(repr(sorted(set(sys.modules) - before)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    loaded = set(ast.literal_eval(result.stdout))
+    assert "occlusion_meter.geometry" in loaded
+    assert loaded.intersection(("json", "logging", "occlusion_meter.evaluation", "occlusion_meter.ingest")) == set()
 
 # JSON values of every type, with numbers at the edges: non-finite floats,
 # ints beyond the float range, subnormals.

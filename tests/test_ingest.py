@@ -276,10 +276,23 @@ class TestErrorPaths:
         assert self.raised([WHEEL], permissive, **{key: value}) == (message, "image")
 
     @pytest.mark.parametrize("permissive", [False, True])
-    @pytest.mark.parametrize("key", ["x_min", "y_min", "x_max", "y_max"])
-    def test_missing_corner_falls_back_to_center_keys(self, key, permissive):
-        pred = {k: v for k, v in FRAME_CORNERS.items() if k != key}
-        assert self.raised([FRAME_CORNERS, pred], permissive) == ("missing required field: predictions[1].x", "")
+    @pytest.mark.parametrize(
+        "missing, center",
+        [(["x_min"], {}), (["y_min"], {}), (["x_max"], {}), (["y_max"], {}), (["y_min", "x_max"], {}),
+         (["x_max", "y_max"], {"x": 60, "y": 55, "width": 100})],
+        ids=["x_min", "y_min", "x_max", "y_max", "y_min-x_max", "x_max-y_max-part_center"],
+    )
+    def test_missing_corner_is_named(self, missing, center, permissive):
+        # Some corner keys and no whole center form: the box was written as corners, so the first corner key it lacks
+        # (in x_min, y_min, x_max, y_max order) is named, not the center form's x.
+        pred = {k: v for k, v in FRAME_CORNERS.items() if k not in missing} | center
+        expected = (f"missing required field: predictions[1].{missing[0]}", "")
+        assert self.raised([FRAME_CORNERS, pred], permissive) == expected
+
+    def test_partial_corners_with_a_whole_center_form_read_as_center(self):
+        pred = dict(WHEEL, x_min=0, y_max=5)
+        bbox = parse_detections(doc([pred])).detections[0].bbox
+        assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (270, 270, 370, 370)
 
     @pytest.mark.parametrize("permissive", [False, True])
     @pytest.mark.parametrize("key", ["class", "confidence", "x", "y", "width", "height"])

@@ -137,7 +137,8 @@ print(json.dumps({"codes": codes, "unreached": sorted(names[code] for code in na
 
 def test_every_function_is_reached_by_a_subcommand_or_listed(tmp_path):
     # The four subcommands over their formats and options, a config with wheel fractions, a frame with surplus parts
-    # (pruned by confidence and bbox area) and one malformed document: a bbox of zero width, then a missing field.
+    # (pruned by confidence and bbox area), one malformed document (a bbox of zero width, then a missing field) and the
+    # same zero-width bbox after an unknown label, both dropped by --permissive.
     wheel = {"class": "wheel", "confidence": 0.9, "x": 100, "y": 300, "width": 100, "height": 100}
     frames = {
         "surplus": [
@@ -147,6 +148,7 @@ def test_every_function_is_reached_by_a_subcommand_or_listed(tmp_path):
             dict(wheel, **{"class": "handlebar", "x": 230, "y": 210, "width": 20, "height": 10}),
         ],
         "malformed": [dict(wheel, width=0), {"class": "wheel"}],
+        "droppable": [dict(wheel, **{"class": "pedal"}), dict(wheel, width=0), wheel],
     }
     for name, predictions in frames.items():
         document = {"image": {"id": name, "width": 640, "height": 640}, "predictions": predictions}
@@ -165,12 +167,13 @@ def test_every_function_is_reached_by_a_subcommand_or_listed(tmp_path):
         ["classify", f"{scenarios}/scenario_a.json", "--config", str(tmp_path / "fractions.json")],
         ["classify", str(tmp_path / "surplus.json")],
         ["classify", str(tmp_path / "malformed.json")],
+        ["classify", str(tmp_path / "droppable.json"), "--permissive"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", _REACH_PROBE, json.dumps(runs)], capture_output=True, text=True, check=False
     )
     assert result.returncode == 0, result.stderr
     reach = json.loads(result.stdout)
-    assert reach["codes"] == [0] * 9 + [2]
+    assert reach["codes"] == [0] * 9 + [2, 0]
     # Both ways: a function left unreached must be listed, and a listed one reached again or deleted leaves the list.
     assert set(reach["unreached"]) == set(UNREACHED)
